@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .params import MultiParam, SeriesParam
-from .serialize import factor_from_json, factor_to_json
+from .serialize import factor_from_json, factor_to_json, json_int
 from .solver import SolveOptions
 
 
@@ -99,14 +99,12 @@ def config_from_json(doc) -> ExperimentConfig:
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad components entry: {exc}") from exc
     kwargs = {}
-    for key in (
-        "k_per_axis",
-        "seed",
-        "pad",
-        "max_refine",
-    ):
+    for key in ("k_per_axis", "seed", "pad", "max_refine"):
         if key in doc:
-            kwargs[key] = int(doc[key])
+            try:
+                kwargs[key] = json_int(doc[key])
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
     for key in ("eps0", "nu0", "tol_kernel", "tol_residual"):
         if key in doc:
             kwargs[key] = float(doc[key])

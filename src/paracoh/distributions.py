@@ -43,19 +43,8 @@ def valid_signs(param: SeriesParam) -> tuple[Sign, ...]:
 
 
 def dist_basis_value(param: SeriesParam, tag: Sign, k: int) -> complex:
-    """Value of the tagged functional on the basis vector u(k)."""
-    param.check_index(k)
-    if tag is Sign.PLUS:
-        return 1.0 + 0.0j
-    if param.kind is Kind.DISCRETE:
-        return 0.0 + 0.0j
-    nu = param.nu
-    if nu == 0:
-        return complex(sum(1.0 / (2 * i - 1) for i in range(1, abs(k) + 1)))
-    out = 1.0 + 0.0j
-    for i in range(1, abs(k) + 1):
-        out *= (2 * i - 1 - nu) / (2 * i - 1 + nu)
-    return complex(out)
+    """Value of the tagged functional on u(k) (scalar view of dist_values_array)."""
+    return complex(dist_values_array(param, tag, IndexWindow(k, k))[0])
 
 
 def dist_values_array(param: SeriesParam, tag: Sign, window: IndexWindow) -> np.ndarray:
@@ -200,7 +189,10 @@ def dist_order_sum(param: SeriesParam, t: float, head_max: int = 4096) -> DistOr
     for tag in valid_signs(param):
         dv = np.abs(dist_values_array(param, tag, window)) ** 2
         head += float(np.sum((1.0 + q) ** (-t) * dv / w2))
-    tail = _tail_bound(param, t, head_max)
+    try:
+        tail = _tail_bound(param, t, head_max)
+    except OverflowError as exc:  # (2n-1+x)^(2n-1) as quad pushes x to infinity
+        raise TailNotConverged(f"tail majorant overflows at t={t}: {exc}") from exc
     if tail > 0.01 * head:
         raise TailNotConverged(
             f"tail bound {tail:.3e} exceeds 1% of head {head:.3e}; enlarge head_max"

@@ -280,10 +280,7 @@ def _solve_top_component(
     else:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, idx]))
         f = generate.random_kernel_tensor(params, windows, rng)
-    if params.d == 1:
-        g_list, rep = solver.solve_top_vector(f.factor_vector(), cfg.solve_options())
-    else:
-        g_list, rep = solver.solve_top(f, cfg.solve_options())
+    _, rep = solver.solve_top(f, cfg.solve_options())
     fn0 = rep.f_norm0 if rep.f_norm0 > 0 else 1.0
     return {
         "param": comp.label,

@@ -103,18 +103,6 @@ def form_norm0(w: LeafwiseForm) -> float:
     return form_sobolev_norm(w, 0.0)
 
 
-def _unify(
-    items: list[tuple[np.ndarray, tuple[IndexWindow, ...]]]
-) -> tuple[list[np.ndarray], tuple[IndexWindow, ...]]:
-    """Embed arrays with per-item windows into their common hull."""
-    d = len(items[0][1])
-    hull = tuple(
-        IndexWindow(min(w[j].lo for _, w in items), max(w[j].hi for _, w in items))
-        for j in range(d)
-    )
-    return [tensor.embed_array(arr, wins, hull) for arr, wins in items], hull
-
-
 def exterior_derivative(w: LeafwiseForm) -> LeafwiseForm:
     """Degree n+1 form; every window grows by one."""
     if w.degree >= w.d:
@@ -217,13 +205,11 @@ def _top_degree_slice(
     """Primitive of a top-degree form over the remaining axes, via the
     coboundary solve; component at (all axes except p) gets sign (-1)^p."""
     sols, _ = _solve_top_rec(sub_params, sub_windows, f_arr, opts, scale)
-    items = [(arr, wins) for arr, wins in sols]
-    arrays, hull = _unify(items)
-    d_sub = sub_params.d
-    every = tuple(range(d_sub))
+    hull = tensor.hull(*(wins for _, wins in sols))
+    every = tuple(range(sub_params.d))
     comps = {}
-    for p, arr in enumerate(arrays):
-        comps[every[:p] + every[p + 1 :]] = (-1.0) ** p * arr
+    for p, (arr, wins) in enumerate(sols):
+        comps[every[:p] + every[p + 1 :]] = (-1.0) ** p * tensor.embed_array(arr, wins, hull)
     return comps, hull
 
 
@@ -267,7 +253,7 @@ def _primitive_rec(
         e_arr = eta1_comps[tuple(a - 1 for a in axes)]
         u0, w0x = tensor.apply_u_axis_array(e_arr, 0, params.factors[0], w0)
         u0_wins = (w0x,) + eta1_sub_windows
-        hull = tensor.common_windows(u0_wins, windows)
+        hull = tensor.hull(u0_wins, windows)
         theta = tensor.embed_array(om_arr, windows, hull) - tensor.embed_array(
             u0, u0_wins, hull
         )
@@ -300,19 +286,17 @@ def _primitive_rec(
     zeta_comps, zeta_sub_windows = _stack_slices(zslices, theta_windows[0])
     zeta_windows = (theta_windows[0],) + zeta_sub_windows
 
-    # assemble: tuples with axis 0 take zeta slices, the rest take eta1
-    items: list[tuple[np.ndarray, tuple[IndexWindow, ...]]] = []
-    keys: list[Axes] = []
+    # assemble: tuples with axis 0 take zeta slices, the rest take eta1 (n >= 2
+    # here, so both kinds occur and the hull covers both window tuples)
+    hull = tensor.hull(zeta_windows, eta1_windows)
+    out = {}
     for axes in itertools.combinations(range(d), n - 1):
-        if axes and axes[0] == 0:
-            arr = zeta_comps[tuple(a - 1 for a in axes[1:])]
-            items.append((arr, zeta_windows))
+        if axes[0] == 0:
+            arr, wins = zeta_comps[tuple(a - 1 for a in axes[1:])], zeta_windows
         else:
-            arr = eta1_comps[tuple(a - 1 for a in axes)]
-            items.append((arr, eta1_windows))
-        keys.append(axes)
-    arrays, hull = _unify(items)
-    return dict(zip(keys, arrays)), hull
+            arr, wins = eta1_comps[tuple(a - 1 for a in axes)], eta1_windows
+        out[axes] = tensor.embed_array(arr, wins, hull)
+    return out, hull
 
 
 def _stack_slices(
@@ -320,10 +304,7 @@ def _stack_slices(
     w0: IndexWindow,
 ) -> tuple[dict[Axes, np.ndarray], tuple[IndexWindow, ...]]:
     """Merge per-slice solutions into full components with axis 0 restored."""
-    hull = tuple(
-        IndexWindow(min(w[j].lo for _, w in slices), max(w[j].hi for _, w in slices))
-        for j in range(len(slices[0][1]))
-    )
+    hull = tensor.hull(*(wins for _, wins in slices))
     keys = list(slices[0][0].keys())
     out = {}
     for key in keys:
@@ -423,9 +404,7 @@ def solve_primitive(
         )
     ratios = {}
     for t in opts.t_list:
-        denom = form_sobolev_norm(
-            w, varsigma_schedule(t, d, opts.varsigma_base, opts.s1, opts.c_const)
-        )
+        denom = form_sobolev_norm(w, varsigma_schedule(t, d))
         ratios[t] = form_sobolev_norm(eta, t) / denom if denom > 0 else 0.0
     return eta, SolveReport(residual, wn0, defect, ratios, 0)
 
@@ -433,7 +412,7 @@ def solve_primitive(
 def _form_difference(a: LeafwiseForm, b: LeafwiseForm) -> LeafwiseForm:
     if a.degree != b.degree or a.params != b.params:
         raise ValueError("form mismatch")
-    hull = tensor.common_windows(a.windows, b.windows)
+    hull = tensor.hull(a.windows, b.windows)
     comps = {
         axes: tensor.embed_array(a.components[axes], a.windows, hull)
         - tensor.embed_array(b.components[axes], b.windows, hull)

@@ -9,6 +9,12 @@ with c+(k) = k + (1+nu)/2 and c-(k) = -k + (1+nu)/2.  For the discrete
 series c-(n) = 0, so the lowest weight is never undershot.  Skew-adjointness
 of this action with respect to the basis norms below is the build gate
 validating both; see tests.
+
+`apply_u_axis_array` is the one implementation of this stencil, on any axis
+of a dense array.  `apply_U` (a CoeffVector) and `u_matrix` (the stencil on
+the identity) are views of it, as are the scalar `basis_norm_sq` and
+`weight_Q` of their array twins; `casimir_mu` is an alias of
+`SeriesParam.mu`.
 """
 
 from __future__ import annotations
@@ -83,9 +89,9 @@ def casimir_mu(param: SeriesParam) -> float:
 
 
 def weight_Q(param: SeriesParam, k: int) -> float:
-    """Sobolev weight Q(k) = mu + 2k^2."""
+    """Sobolev weight Q(k) = mu + 2k^2 (scalar view of weight_q_array)."""
     param.check_index(k)
-    return param.mu + 2.0 * k * k
+    return float(weight_q_array(param, k))
 
 
 def weight_q_array(param: SeriesParam, ks: np.ndarray) -> np.ndarray:
@@ -93,38 +99,25 @@ def weight_q_array(param: SeriesParam, ks: np.ndarray) -> np.ndarray:
 
 
 def basis_norm_sq(param: SeriesParam, k: int) -> float:
-    """Squared norm of u(k).
+    """Squared norm of u(k) (scalar view of basis_norm_sq_array)."""
+    return float(basis_norm_sq_array(param, IndexWindow(k, k))[0])
+
+
+def basis_norm_sq_array(param: SeriesParam, window: IndexWindow) -> np.ndarray:
+    """Vector of ||u(k)||^2 over a window (cumulative products, O(K)).
 
     Principal: 1.  Complementary: prod_{i<=|k|} (2i-1-nu)/(2i-1+nu).
     Discrete (k = n+m): m! (2n-1)! / (2n-1+m)!.
     """
-    param.check_index(k)
-    if param.kind is Kind.PRINCIPAL:
-        return 1.0
-    if param.kind is Kind.COMPLEMENTARY:
-        nu = param.nu.real
-        out = 1.0
-        for i in range(1, abs(k) + 1):
-            out *= (2 * i - 1 - nu) / (2 * i - 1 + nu)
-        return out
-    m = k - param.n
-    out = 1.0
-    for j in range(1, m + 1):
-        out *= j / (2 * param.n - 1 + j)
-    return out
-
-
-def basis_norm_sq_array(param: SeriesParam, window: IndexWindow) -> np.ndarray:
-    """Vector of ||u(k)||^2 over a window (cumulative products, O(K))."""
     check_window(param, window)
-    ks = window.indices()
     if param.kind is Kind.PRINCIPAL:
-        return np.ones(len(ks))
+        return np.ones(len(window))
+    ks = window.indices()
     if param.kind is Kind.COMPLEMENTARY:
         nu = param.nu.real
         kmax = int(max(abs(window.lo), abs(window.hi)))
-        i = np.arange(1, kmax + 1)
-        prods = np.concatenate([[1.0], np.cumprod((2 * i - 1 - nu) / (2 * i - 1 + nu))])
+        odd = np.arange(1.0, 2 * kmax, 2.0)  # 2i - 1 for i = 1..kmax, in floats
+        prods = np.concatenate([[1.0], np.cumprod((odd - nu) / (odd + nu))])
         return prods[np.abs(ks)]
     n = param.n
     mmax = window.hi - n
@@ -141,38 +134,39 @@ def c_minus(param: SeriesParam, ks: np.ndarray) -> np.ndarray:
     return -ks + (1.0 + param.nu) / 2.0
 
 
+def apply_u_axis_array(
+    arr: np.ndarray, axis: int, param: SeriesParam, window: IndexWindow
+) -> tuple[np.ndarray, IndexWindow]:
+    """Generator action along one axis of a dense array; window grows by one."""
+    out_win = expand_window(param, window, 1)
+    moved = np.moveaxis(arr, axis, -1)
+    out_shape = moved.shape[:-1] + (len(out_win),)
+    out = np.zeros(out_shape, dtype=np.complex128)
+    ks = window.indices()
+    off = window.lo - out_win.lo
+    n = len(window)
+    # diagonal: i k f(k)
+    out[..., off : off + n] += 1j * ks * moved
+    # superdiagonal source: -(i/2) c+(j) f(j) lands at k = j+1
+    out[..., off + 1 : off + n + 1] += -0.5j * c_plus(param, ks) * moved
+    # subdiagonal source: (i/2) c-(j) f(j) lands at k = j-1
+    cut = out_win.lo - (window.lo - 1)  # 1 when clipped at the lowest weight
+    out[..., off - 1 + cut : off - 1 + n] += (0.5j * c_minus(param, ks) * moved)[..., cut:]
+    return np.moveaxis(out, -1, axis), out_win
+
+
 def apply_U(f: CoeffVector) -> CoeffVector:
     """Flow-generator action on coefficients; window grows by one each side."""
-    param, win = f.param, f.window
-    out_win = expand_window(param, win, 1)
-    out = np.zeros(len(out_win), dtype=np.complex128)
-    ks = win.indices()
-    off = win.lo - out_win.lo
-    n = len(win)
-    # diagonal: i k f(k)
-    out[off : off + n] += 1j * ks * f.coeffs
-    # superdiagonal source: -(i/2) c+(j) f(j) lands at k = j+1
-    out[off + 1 : off + n + 1] += -0.5j * c_plus(param, ks) * f.coeffs
-    # subdiagonal source: (i/2) c-(j) f(j) lands at k = j-1
-    lo_cut = out_win.lo - (win.lo - 1)  # 1 when clipped at the lowest weight
-    out[off - 1 + lo_cut : off - 1 + n] += (0.5j * c_minus(param, ks) * f.coeffs)[lo_cut:]
-    return CoeffVector(param, out_win, out)
+    out, out_win = apply_u_axis_array(f.coeffs, 0, f.param, f.window)
+    return CoeffVector(f.param, out_win, out)
 
 
 def u_matrix(param: SeriesParam, window: IndexWindow) -> tuple[np.ndarray, IndexWindow]:
     """Dense matrix of the generator from `window` to the expanded window."""
     check_window(param, window)
-    out_win = expand_window(param, window, 1)
-    rows, cols = len(out_win), len(window)
-    a = np.zeros((rows, cols), dtype=np.complex128)
-    ks = window.indices()
-    off = window.lo - out_win.lo
-    j = np.arange(cols)
-    a[off + j, j] = 1j * ks
-    a[off + j + 1, j] = -0.5j * c_plus(param, ks)
-    sub_ok = off + j - 1 >= 0
-    a[(off + j - 1)[sub_ok], j[sub_ok]] = 0.5j * c_minus(param, ks)[sub_ok]
-    return a, out_win
+    a, out_win = apply_u_axis_array(np.eye(len(window)), 0, param, window)
+    # C order keeps the summation order of products like `dv @ a` fixed
+    return np.ascontiguousarray(a), out_win
 
 
 def sobolev_norm(f: CoeffVector, t: float) -> float:

@@ -33,6 +33,18 @@ from .tensor import TensorCoeffs, from_coeff_vector
 FORMAT_VERSION = 1
 
 
+def json_int(value: Any) -> int:
+    """An integer field of a JSON document.
+
+    Raises ValueError for bools, strings and non-integral numbers, which
+    int() would silently truncate or convert.
+    """
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def factor_to_json(p: SeriesParam) -> dict:
     if p.kind is Kind.PRINCIPAL:
         return {"kind": "principal", "nu_im": p.nu.imag}
@@ -51,7 +63,7 @@ def factor_from_json(obj: Any) -> SeriesParam:
         if kind == "complementary":
             return SeriesParam.complementary(float(obj["nu"]))
         if kind == "discrete":
-            return SeriesParam.discrete(int(obj["n"]))
+            return SeriesParam.discrete(json_int(obj["n"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad factor entry {obj!r}: {exc}") from exc
     raise SchemaError(f"unknown factor kind {kind!r}")
@@ -59,7 +71,7 @@ def factor_from_json(obj: Any) -> SeriesParam:
 
 def window_from_json(obj: Any) -> IndexWindow:
     try:
-        return IndexWindow(int(obj["lo"]), int(obj["hi"]))
+        return IndexWindow(json_int(obj["lo"]), json_int(obj["hi"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad window entry {obj!r}: {exc}") from exc
 
@@ -163,7 +175,7 @@ def form_to_json(w: LeafwiseForm) -> dict:
 def form_from_json(doc: Any, eps0: float = 0.05, nu0: float = 0.95) -> LeafwiseForm:
     _check_version(doc)
     try:
-        degree = int(doc["degree"])
+        degree = json_int(doc["degree"])
         factors = tuple(factor_from_json(o) for o in doc["factors"])
         windows = tuple(window_from_json(o) for o in doc["windows"])
         entries = doc["components"]

@@ -18,13 +18,13 @@ the padding and accepts once the solution stabilizes on the original window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.linalg as sla
 
-from . import repn, tensor
-from .distributions import Sign, dist_values_array, evaluate, phi, valid_signs
+from . import tensor
+from .distributions import Sign, dist_values_array, phi, valid_signs
 from .errors import NoConvergence, NotInKernel
 from .params import IndexWindow, MultiParam, SeriesParam, expand_window
 from .repn import CoeffVector, basis_norm_sq_array, sobolev_norm, u_matrix
@@ -40,9 +40,6 @@ class SolveOptions:
     tol_residual: float = 1e-8
     max_refine: int = 3
     t_list: tuple[float, ...] = (1.0, 2.0)
-    s1: float = 3.0         # degree-1 Sobolev loss used in reports
-    c_const: float = 0.5    # additive constant in the schedule recursion
-    varsigma_base: float = 4.0  # two-factor lower-degree loss offset
 
     def __post_init__(self):
         if self.pad < 2:
@@ -175,38 +172,6 @@ def _solve_rows_refined(
     )
 
 
-def solve_degree1(f: CoeffVector, opts: SolveOptions = SolveOptions()) -> tuple[CoeffVector, SolveReport]:
-    """Solve U g = f for one irreducible; f must annihilate D+ (and D-).
-
-    Returns the unique least-squares solution on the padded window together
-    with residual/ratio diagnostics.  Raises NotInKernel when an invariant
-    functional does not vanish on f, NoConvergence when refinement fails.
-    """
-    fn0 = sobolev_norm(f, 0.0)
-    defect = 0.0
-    for tag in valid_signs(f.param):
-        val = abs(evaluate(f, tag))
-        defect = max(defect, val)
-        if val > opts.tol_kernel * fn0:
-            raise NotInKernel(
-                f"D{tag.value}(f) = {val:.3e} exceeds {opts.tol_kernel:.1e} * ||f||_0",
-                defect=val,
-                tag=(tag,),
-            )
-    if fn0 == 0.0:
-        g = repn.zero_vector(f.param, f.window)
-        return g, SolveReport(0.0, 0.0, 0.0, {t: 0.0 for t in opts.t_list}, 0)
-    sol, win, resid, refs = _solve_rows_refined(
-        f.param, f.window, f.coeffs[None, :], opts, fn0
-    )
-    g = CoeffVector(f.param, win, sol[0])
-    ratios = {}
-    for t in opts.t_list:
-        denom = sobolev_norm(f, sigma_schedule(t, 1, opts.s1, opts.c_const))
-        ratios[t] = sobolev_norm(g, t) / denom if denom > 0 else 0.0
-    return g, SolveReport(resid, fn0, defect, ratios, refs)
-
-
 # --- splitting --------------------------------------------------------------
 
 
@@ -308,26 +273,19 @@ def _solve_top_rec(
 
     out: list[tuple[np.ndarray, tuple[IndexWindow, ...]]] = []
     for i in range(d - 1):
-        acc = None
-        acc_wins = None
+        # g_i = sum_s G_s,i (x) phi_s, summed PLUS then MINUS on the hull
+        terms = []
         for s in (Sign.PLUS, Sign.MINUS):
-            if partials[s] is None:
-                continue
-            gi, gi_wins = partials[s][i]
-            phi_vec = phi(p_last, s).embedded(w_last).coeffs
-            term = gi[..., None] * phi_vec
-            if acc is None:
-                acc, acc_wins = term, gi_wins + (w_last,)
-            else:
-                wins = tensor.common_windows(acc_wins, gi_wins + (w_last,))
-                acc = tensor.embed_array(acc, acc_wins, wins) + tensor.embed_array(
-                    term, gi_wins + (w_last,), wins
-                )
-                acc_wins = wins
-        if acc is None:
-            acc = np.zeros(tuple(len(w) for w in lead_windows) + (len(w_last),), np.complex128)
-            acc_wins = lead_windows + (w_last,)
-        out.append((acc, acc_wins))
+            if partials[s] is not None:
+                gi, gi_wins = partials[s][i]
+                phi_vec = phi(p_last, s).embedded(w_last).coeffs
+                terms.append((gi[..., None] * phi_vec, gi_wins + (w_last,)))
+        if not terms:
+            shape = tuple(len(w) for w in lead_windows) + (len(w_last),)
+            terms = [(np.zeros(shape, np.complex128), lead_windows + (w_last,))]
+        wins = tensor.hull(*(w for _, w in terms))
+        arrays = [tensor.embed_array(term, w, wins) for term, w in terms]
+        out.append((reduce(np.add, arrays), wins))
 
     # last-factor problem, slice by slice over the leading indices
     lead_shape = tuple(len(w) for w in lead_windows)
@@ -365,15 +323,12 @@ def solve_top(
         zero = [tensor.zeros(f.params, f.windows) for _ in range(f.d)]
         return zero, SolveReport(0.0, 0.0, 0.0, {t: 0.0 for t in opts.t_list}, 0)
     raw, refs = _solve_top_rec(f.params, f.windows, f.coeffs, opts, fn0)
-    unified = tuple(
-        IndexWindow(min(w[j].lo for _, w in raw), max(w[j].hi for _, w in raw))
-        for j in range(f.d)
-    )
+    unified = tensor.hull(*(wins for _, wins in raw))
     g_list = [
         TensorCoeffs(f.params, unified, tensor.embed_array(arr, wins, unified))
         for arr, wins in raw
     ]
-    report = verify_solution(f, g_list, opts.t_list, opts)
+    report = verify_solution(f, g_list, opts.t_list)
     report.refinements_used = refs
     report.kernel_defect = worst
     if report.residual_interior > opts.tol_residual * fn0:
@@ -382,6 +337,19 @@ def solve_top(
             f"{opts.tol_residual:.1e} * ||f||_0 = {opts.tol_residual * fn0:.3e}"
         )
     return g_list, report
+
+
+def solve_degree1(
+    f: CoeffVector, opts: SolveOptions = SolveOptions()
+) -> tuple[CoeffVector, SolveReport]:
+    """Solve U g = f for one irreducible: `solve_top` on the rank-1 tensor.
+
+    Returns the unique least-squares solution on the padded window and the
+    report of `verify_solution`.  Raises NotInKernel when an invariant
+    functional does not vanish on f, NoConvergence when refinement fails.
+    """
+    g_list, report = solve_top(tensor.from_coeff_vector(f), opts)
+    return g_list[0].factor_vector(), report
 
 
 def solve_top_vector(
@@ -395,7 +363,6 @@ def verify_solution(
     f: TensorCoeffs,
     g_list: list[TensorCoeffs],
     t_list: tuple[float, ...] = (1.0, 2.0),
-    opts: SolveOptions = SolveOptions(),
 ) -> SolveReport:
     """Residual of sum_i U_i g_i - f at t=0, kernel defect of f, and the
     ratios ||g_i||_t / ||f||_{sigma_d(t)}.
@@ -416,7 +383,7 @@ def verify_solution(
     )
     ratios = {}
     for t in t_list:
-        denom = tensor_sobolev_norm(f, sigma_schedule(t, f.d, opts.s1, opts.c_const))
+        denom = tensor_sobolev_norm(f, sigma_schedule(t, f.d))
         num = max((tensor_sobolev_norm(g, t) for g in g_list), default=0.0)
         ratios[t] = num / denom if denom > 0 else 0.0
     return SolveReport(norm0(resid), fn0, kernel_defect, ratios, 0)

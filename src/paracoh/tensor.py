@@ -4,6 +4,11 @@ Coefficients are dense complex arrays with one axis per factor; axis j is
 indexed by window_j.  Per-axis generator actions, the norm-weighted
 restriction (which multiplies in the basis norms of the fixed indices),
 product invariant functionals, and the joint-kernel projector live here.
+
+The per-axis action is `repn.apply_u_axis_array`, imported here by name; it
+is the package's only copy of the generator stencil.  `hull` is the one
+window-hull helper: every sum of arrays on different windows embeds them
+into `hull(...)` first.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from . import distributions as dist
 from . import repn
 from .distributions import Sign
 from .errors import InvalidIndex, ParamMismatch
-from .params import IndexWindow, MultiParam, SeriesParam, check_window, expand_window
+from .params import IndexWindow, MultiParam, check_window
+from .repn import apply_u_axis_array
 
 
 @dataclass(frozen=True)
@@ -97,17 +103,19 @@ def embed_array(
     return out
 
 
-def common_windows(
-    a: tuple[IndexWindow, ...], b: tuple[IndexWindow, ...]
-) -> tuple[IndexWindow, ...]:
-    return tuple(IndexWindow(min(x.lo, y.lo), max(x.hi, y.hi)) for x, y in zip(a, b))
+def hull(*window_tuples: tuple[IndexWindow, ...]) -> tuple[IndexWindow, ...]:
+    """Per-axis smallest windows covering every given tuple of windows."""
+    return tuple(
+        IndexWindow(min(w.lo for w in axis), max(w.hi for w in axis))
+        for axis in zip(*window_tuples)
+    )
 
 
 def add(a: TensorCoeffs, b: TensorCoeffs, scale: complex = 1.0) -> TensorCoeffs:
     """a + scale*b on the union windows."""
     if a.params != b.params:
         raise ParamMismatch("tensor params differ")
-    wins = common_windows(a.windows, b.windows)
+    wins = hull(a.windows, b.windows)
     arr = embed_array(a.coeffs, a.windows, wins) + scale * embed_array(b.coeffs, b.windows, wins)
     return TensorCoeffs(a.params, wins, arr)
 
@@ -138,26 +146,6 @@ def tensor_sobolev_norm(f: TensorCoeffs, t: float) -> float:
 
 def norm0(f: TensorCoeffs) -> float:
     return tensor_sobolev_norm(f, 0.0)
-
-
-def apply_u_axis_array(
-    arr: np.ndarray, axis: int, param: SeriesParam, window: IndexWindow
-) -> tuple[np.ndarray, IndexWindow]:
-    """Generator action along one axis of a dense array; window grows by one."""
-    out_win = expand_window(param, window, 1)
-    moved = np.moveaxis(arr, axis, -1)
-    out_shape = moved.shape[:-1] + (len(out_win),)
-    out = np.zeros(out_shape, dtype=np.complex128)
-    ks = window.indices()
-    off = window.lo - out_win.lo
-    n = len(window)
-    out[..., off : off + n] += 1j * ks * moved
-    out[..., off + 1 : off + n + 1] += -0.5j * repn.c_plus(param, ks) * moved
-    cut = out_win.lo - (window.lo - 1)  # 1 when clipped at the lowest weight
-    out[..., off - 1 + cut : off - 1 + n] += (0.5j * repn.c_minus(param, ks) * moved)[
-        ..., cut:
-    ]
-    return np.moveaxis(out, -1, axis), out_win
 
 
 def apply_U_factor(f: TensorCoeffs, axis: int) -> TensorCoeffs:

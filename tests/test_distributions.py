@@ -188,3 +188,30 @@ def test_phi_sum_monotone_in_t(grid):
         a = phi_sobolev_sum(p, 1.0).value
         b = phi_sobolev_sum(p, 2.0).value
         assert b >= a
+
+
+def test_dist_order_sum_tail_overflow_is_typed():
+    # (2n-1+x)^(2n-1) overflows a float inside the tail quadrature at large n
+    with pytest.raises(TailNotConverged):
+        dist_order_sum(SeriesParam.discrete(60), 62.0)
+
+
+def _dist_minus_loop(p: SeriesParam, k: int) -> complex:
+    """The displayed D- formulas, term by term."""
+    if p.nu == 0:
+        return complex(sum(1.0 / (2 * i - 1) for i in range(1, abs(k) + 1)))
+    out = 1.0 + 0.0j
+    for i in range(1, abs(k) + 1):
+        out *= (2 * i - 1 - p.nu) / (2 * i - 1 + p.nu)
+    return out
+
+
+def test_dist_values_array_matches_loop(grid):
+    for p in grid:
+        win = default_window(p, 40)
+        assert np.all(dist_values_array(p, Sign.PLUS, win) == 1.0)
+        if p.kind.value == "discrete":
+            assert np.all(dist_values_array(p, Sign.MINUS, win) == 0.0)
+            continue
+        want = np.array([_dist_minus_loop(p, int(k)) for k in win.indices()])
+        assert np.allclose(dist_values_array(p, Sign.MINUS, win), want, rtol=1e-13, atol=0)

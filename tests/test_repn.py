@@ -5,6 +5,8 @@ validating both derived ingredients at once; the invariant-functional
 checks live in test_distributions.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,8 @@ from paracoh import (
     sobolev_norm,
     weight_Q,
 )
+from paracoh.params import Kind
+from paracoh.rational import u_action_exact
 from paracoh.repn import basis_norm_sq_array, u_matrix, zero_vector
 
 
@@ -190,3 +194,46 @@ def test_embedded_guards_support():
         v.embedded(IndexWindow(0, 2))
     w = v.embedded(IndexWindow(-1, 6))
     assert w.at(3) == 1.0
+
+
+@pytest.mark.parametrize(
+    "p, kind, nu, n",
+    [
+        (SeriesParam.principal(0.0), Kind.PRINCIPAL, Fraction(0), None),
+        (SeriesParam.complementary(0.5), Kind.COMPLEMENTARY, Fraction(1, 2), None),
+        (SeriesParam.discrete(2), Kind.DISCRETE, Fraction(3), 2),
+    ],
+    ids=["principal(nu=0i)", "complementary(nu=0.5)", "discrete(n=2)"],
+)
+def test_u_matrix_matches_exact_action(p, kind, nu, n):
+    # the one float stencil against the independent rational oracle; at these
+    # nu every entry is a dyadic rational, so the comparison is exact
+    for k in range(17):
+        win = default_window(p, k)
+        a, wout = u_matrix(p, win)
+        for col, j in enumerate(win.indices()):
+            want = np.zeros(len(wout), dtype=np.complex128)
+            for idx, c in u_action_exact(kind, nu, n, int(j)).items():
+                want[idx - wout.lo] = 1j * float(c)
+            assert np.array_equal(a[:, col], want), (k, int(j))
+
+
+def _norm_sq_loop(p: SeriesParam, k: int) -> float:
+    """The displayed product formulas, factor by factor."""
+    out = 1.0
+    if p.kind is Kind.COMPLEMENTARY:
+        for i in range(1, abs(k) + 1):
+            out *= (2 * i - 1 - p.nu.real) / (2 * i - 1 + p.nu.real)
+    elif p.kind is Kind.DISCRETE:
+        for j in range(1, k - p.n + 1):
+            out *= j / (2 * p.n - 1 + j)
+    return out
+
+
+def test_basis_norm_array_matches_loop(grid):
+    # the array code multiplies the same factors in the same order: bitwise
+    for p in grid:
+        win = default_window(p, 40)
+        assert basis_norm_sq_array(p, win).tolist() == [
+            _norm_sq_loop(p, int(k)) for k in win.indices()
+        ]

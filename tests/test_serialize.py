@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from paracoh import MultiParam, SchemaError, SeriesParam, default_window
+from paracoh import ConfigError, MultiParam, SchemaError, SeriesParam, default_window
+from paracoh.config import config_from_json, config_to_json, default_config
 from paracoh.generate import random_closed_form, random_tensor
 from paracoh.serialize import (
     load_form,
@@ -132,3 +133,26 @@ def test_csv_header(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "param,value,bound,ratio"
     assert lines[1] == "x,1.0,2.0,0.5"
+
+
+@pytest.mark.parametrize("bad", [40.7, True, "40", None])
+def test_config_ints_not_coerced(bad):
+    doc = config_to_json(default_config())
+    for key in ("k_per_axis", "seed", "pad", "max_refine"):
+        with pytest.raises(ConfigError):
+            config_from_json({**doc, key: bad})
+    assert config_from_json({**doc, "k_per_axis": 40.0}).k_per_axis == 40
+
+
+def test_schema_ints_not_coerced(rng):
+    # int() would turn each of these into a valid document
+    mp = _mp()
+    wins = tuple(default_window(p, 4) for p in mp.factors)
+    base = tensor_to_json(random_tensor(mp, wins, rng, margin=0))
+    cases = [("factors", 1, "n", bad) for bad in (1.5, True, "1")]
+    cases += [("windows", 0, "lo", -4.5), ("windows", 0, "lo", "-4"), ("windows", 1, "lo", True)]
+    for section, idx, key, bad in cases:
+        doc = json.loads(json.dumps(base))
+        doc[section][idx][key] = bad
+        with pytest.raises(SchemaError):
+            tensor_from_json(doc)
