@@ -9,21 +9,11 @@ behavior the estimates predict.
 """
 
 from .params import IndexWindow, Kind, MultiParam, SeriesParam, default_window
-from .repn import (
-    CoeffVector,
-    apply_U,
-    basis_norm_sq,
-    basis_vector,
-    casimir_mu,
-    inner_product,
-    sobolev_norm,
-    weight_Q,
-)
+from .repn import basis_norm_sq, casimir_mu, weight_Q
 from .distributions import (
     Sign,
     dist_basis_value,
     dist_order_sum,
-    evaluate,
     phi,
     phi_pairing_matrix,
     phi_sobolev_sum,
@@ -31,6 +21,8 @@ from .distributions import (
 from .tensor import (
     TensorCoeffs,
     apply_U_factor,
+    basis_vector,
+    inner_product,
     kernel_project,
     product_dist_evaluate,
     restrict,
@@ -43,7 +35,6 @@ from .solver import (
     obstruction_certificate,
     regularity_check,
     sigma_schedule,
-    solve_degree1,
     solve_top,
     split,
     verify_solution,
@@ -79,23 +70,19 @@ __all__ = [
     "MultiParam",
     "SeriesParam",
     "default_window",
-    "CoeffVector",
-    "apply_U",
     "basis_norm_sq",
-    "basis_vector",
     "casimir_mu",
-    "inner_product",
-    "sobolev_norm",
     "weight_Q",
     "Sign",
     "dist_basis_value",
     "dist_order_sum",
-    "evaluate",
     "phi",
     "phi_pairing_matrix",
     "phi_sobolev_sum",
     "TensorCoeffs",
     "apply_U_factor",
+    "basis_vector",
+    "inner_product",
     "kernel_project",
     "product_dist_evaluate",
     "restrict",
@@ -106,7 +93,6 @@ __all__ = [
     "obstruction_certificate",
     "regularity_check",
     "sigma_schedule",
-    "solve_degree1",
     "solve_top",
     "split",
     "verify_solution",

@@ -22,12 +22,7 @@ from scipy.integrate import quad
 
 from .errors import TailNotConverged
 from .params import IndexWindow, Kind, SeriesParam, check_window
-from .repn import (
-    CoeffVector,
-    basis_norm_sq_array,
-    sobolev_norm,
-    weight_q_array,
-)
+from .repn import basis_norm_sq_array, sobolev_norm_array, weight_q_array
 
 
 class Sign(enum.Enum):
@@ -67,44 +62,47 @@ def dist_values_array(param: SeriesParam, tag: Sign, window: IndexWindow) -> np.
     return vals[np.abs(ks)]
 
 
-def evaluate(f: CoeffVector, tag: Sign) -> complex:
-    """Pair a functional with a truncated element: sum f(k) D(u(k))."""
-    vals = dist_values_array(f.param, tag, f.window)
-    return complex(np.sum(f.coeffs * vals))
+def _phi_window(param: SeriesParam) -> IndexWindow:
+    """Support of phi_+ and phi_-: {n} for the discrete series, else {0, 1}."""
+    if param.kind is Kind.DISCRETE:
+        return IndexWindow(param.n, param.n)
+    return IndexWindow(0, 1)
 
 
-def phi(param: SeriesParam, tag: Sign) -> CoeffVector:
-    """Dual element with D^a(phi_b) = delta_ab.
+def phi(param: SeriesParam, tag: Sign, window: IndexWindow) -> np.ndarray:
+    """Coefficients on `window` of the dual element with D^a(phi_b) = delta_ab.
 
     Two-term vectors supported on {0, 1}; for the discrete series phi_+
-    is the lowest basis vector u(n) and phi_- is zero.
+    is the lowest basis vector u(n) and phi_- is zero.  Raises ValueError
+    when the window does not cover the support.
     """
-    if param.kind is Kind.DISCRETE:
-        win = IndexWindow(param.n, param.n)
-        val = 1.0 if tag is Sign.PLUS else 0.0
-        return CoeffVector(param, win, np.array([val], dtype=np.complex128))
-    win = IndexWindow(0, 1)
+    check_window(param, window)
     nu = param.nu
-    if nu == 0:
-        if tag is Sign.PLUS:
-            coeffs = [1.0, 0.0]
-        else:
-            coeffs = [-1.0, 1.0]
+    if param.kind is Kind.DISCRETE:
+        coeffs = [1.0 if tag is Sign.PLUS else 0.0]
+    elif nu == 0:
+        coeffs = [1.0, 0.0] if tag is Sign.PLUS else [-1.0, 1.0]
+    elif tag is Sign.PLUS:
+        coeffs = [(nu - 1) / (2 * nu), (nu + 1) / (2 * nu)]
     else:
-        if tag is Sign.PLUS:
-            coeffs = [(nu - 1) / (2 * nu), (nu + 1) / (2 * nu)]
-        else:
-            coeffs = [(nu + 1) / (2 * nu), -(nu + 1) / (2 * nu)]
-    return CoeffVector(param, win, np.array(coeffs, dtype=np.complex128))
+        coeffs = [(nu + 1) / (2 * nu), -(nu + 1) / (2 * nu)]
+    out = np.zeros(len(window), dtype=np.complex128)
+    for k, c in zip(_phi_window(param).indices(), coeffs):
+        if k in window:
+            out[k - window.lo] = c
+        elif c != 0:
+            raise ValueError(f"window [{window.lo}, {window.hi}] does not cover phi's support")
+    return out
 
 
 def phi_pairing_matrix(param: SeriesParam) -> np.ndarray:
     """[D^a(phi_b)] for a, b in {+, -}; identity (discrete: (-,-) entry 0)."""
+    win = _phi_window(param)
     out = np.zeros((2, 2), dtype=np.complex128)
     for col, b in enumerate((Sign.PLUS, Sign.MINUS)):
-        vec = phi(param, b)
+        vec = phi(param, b, win)
         for row, a in enumerate((Sign.PLUS, Sign.MINUS)):
-            out[row, col] = evaluate(vec, a)
+            out[row, col] = np.sum(vec * dist_values_array(param, a, win))
     return out
 
 
@@ -218,7 +216,13 @@ class PhiSobolevSum:
 def phi_sobolev_sum(param: SeriesParam, t: float) -> PhiSobolevSum:
     if t <= 0:
         raise ValueError(f"needs t > 0, got {t}")
-    value = sum(sobolev_norm(phi(param, tag), t) ** 2 for tag in (Sign.PLUS, Sign.MINUS))
+    # the array norm takes bare factors, so nu below eps0 (the gate-bypassed
+    # blowup sweep) is admitted
+    win = _phi_window(param)
+    value = sum(
+        sobolev_norm_array((param,), (win,), phi(param, tag, win), t) ** 2
+        for tag in (Sign.PLUS, Sign.MINUS)
+    )
     mu = param.mu
     if param.kind is Kind.DISCRETE:
         bound = (1.0 + mu + 2.0 * param.n**2) ** t

@@ -14,7 +14,6 @@ import numpy as np
 from . import forms, repn, tensor
 from .forms import LeafwiseForm
 from .params import IndexWindow, Kind, MultiParam, SeriesParam
-from .repn import CoeffVector
 from .tensor import TensorCoeffs
 
 
@@ -37,11 +36,12 @@ def random_vector(
     rng: np.random.Generator,
     decay: float = 4.0,
     margin: int = 2,
-) -> CoeffVector:
+) -> TensorCoeffs:
+    """Rank-1 random element of one irreducible."""
     q = 1.0 + repn.weight_q_array(param, window.indices())
     coeffs = _complex_normal(rng, len(window)) * q ** (-decay)
     coeffs[~_edge_mask(param, window, margin)] = 0.0
-    return CoeffVector(param, window, coeffs)
+    return TensorCoeffs(MultiParam((param,)), (window,), coeffs)
 
 
 def random_tensor(
@@ -51,7 +51,7 @@ def random_tensor(
     decay: float = 4.0,
     margin: int = 2,
 ) -> TensorCoeffs:
-    qgrid, _ = tensor._weight_grids(params, windows)
+    qgrid, _ = repn.weight_grids(params.factors, windows)
     coeffs = _complex_normal(rng, qgrid.shape) * qgrid ** (-decay)
     for j, (p, w) in enumerate(zip(params.factors, windows)):
         shape = [1] * params.d
@@ -76,10 +76,10 @@ def random_coboundary_vector(
     rng: np.random.Generator,
     decay: float = 4.0,
     margin: int = 3,
-) -> tuple[CoeffVector, CoeffVector]:
-    """(f, g0) with f = U g0 re-windowed onto `window`; f is a coboundary."""
+) -> tuple[TensorCoeffs, TensorCoeffs]:
+    """Rank-1 (f, g0) with f = U g0 re-windowed onto `window`; f is a coboundary."""
     g0 = random_vector(param, window, rng, decay, max(margin, 2))
-    f = repn.apply_U(g0).embedded(window)
+    f = tensor.apply_U_factor(g0, 0).embedded((window,))
     return f, g0
 
 

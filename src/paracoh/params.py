@@ -184,10 +184,6 @@ class MultiParam:
     def d(self) -> int:
         return len(self.factors)
 
-    @property
-    def mu_sum(self) -> float:
-        return float(sum(p.mu for p in self.factors))
-
     def drop(self, axis: int) -> "MultiParam":
         """Product with one factor removed (for restrictions)."""
         if not 0 <= axis < self.d:

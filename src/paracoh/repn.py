@@ -1,6 +1,7 @@
 """Single-irreducible layer: basis norms, the flow generator, Sobolev norms.
 
-All elements are truncated coefficient vectors in the K-weight basis u(k).
+Coefficients are dense arrays in the K-weight basis u(k), one axis per
+factor; an element of one irreducible is the rank-1 `tensor.TensorCoeffs`.
 The generator acts tridiagonally on coefficients:
 
     (U f)(k) = i k f(k) - (i/2) c+(k-1) f(k-1) + (i/2) c-(k+1) f(k+1),
@@ -11,76 +12,18 @@ of this action with respect to the basis norms below is the build gate
 validating both; see tests.
 
 `apply_u_axis_array` is the one implementation of this stencil, on any axis
-of a dense array.  `apply_U` (a CoeffVector) and `u_matrix` (the stencil on
-the identity) are views of it, as are the scalar `basis_norm_sq` and
-`weight_Q` of their array twins; `casimir_mu` is an alias of
-`SeriesParam.mu`.
+of a dense array; `u_matrix` (the stencil on the identity) is a view of it.
+`sobolev_norm_array` is the one Sobolev norm, on arrays over any factor
+tuple; it needs no `MultiParam`, so it also serves parameters outside the
+product gates.  The scalar `basis_norm_sq` and `weight_Q` read their array
+twins, and `casimir_mu` is an alias of `SeriesParam.mu`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ParamMismatch
 from .params import IndexWindow, Kind, SeriesParam, check_window, expand_window
-
-
-@dataclass(frozen=True)
-class CoeffVector:
-    """Truncated element of one irreducible: coefficients over a window."""
-
-    param: SeriesParam
-    window: IndexWindow
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        check_window(self.param, self.window)
-        arr = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
-        if arr.shape != (len(self.window),):
-            raise ValueError(
-                f"coefficient shape {arr.shape} does not match window size {len(self.window)}"
-            )
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
-
-    def at(self, k: int) -> complex:
-        if k not in self.window:
-            return 0.0 + 0.0j
-        return complex(self.coeffs[k - self.window.lo])
-
-    def embedded(self, window: IndexWindow) -> "CoeffVector":
-        """Same element, re-windowed (zero fill); target must cover support."""
-        out = np.zeros(len(window), dtype=np.complex128)
-        inside = np.zeros(len(self.window), dtype=bool)
-        lo = max(self.window.lo, window.lo)
-        hi = min(self.window.hi, window.hi)
-        if lo <= hi:
-            src = slice(lo - self.window.lo, hi - self.window.lo + 1)
-            out[lo - window.lo : hi - window.lo + 1] = self.coeffs[src]
-            inside[src] = True
-        if np.any(self.coeffs[~inside] != 0):
-            raise ValueError("target window does not cover the support")
-        return CoeffVector(self.param, window, out)
-
-
-def _overlap(a: IndexWindow, b: IndexWindow) -> bool:
-    return max(a.lo, b.lo) <= min(a.hi, b.hi)
-
-
-def basis_vector(param: SeriesParam, k: int, window: IndexWindow | None = None) -> CoeffVector:
-    """The basis element u(k), optionally embedded in a given window."""
-    param.check_index(k)
-    if window is None:
-        window = IndexWindow(k, k)
-    coeffs = np.zeros(len(window), dtype=np.complex128)
-    coeffs[k - window.lo] = 1.0
-    return CoeffVector(param, window, coeffs)
-
-
-def zero_vector(param: SeriesParam, window: IndexWindow) -> CoeffVector:
-    return CoeffVector(param, window, np.zeros(len(window), dtype=np.complex128))
 
 
 def casimir_mu(param: SeriesParam) -> float:
@@ -155,12 +98,6 @@ def apply_u_axis_array(
     return np.moveaxis(out, -1, axis), out_win
 
 
-def apply_U(f: CoeffVector) -> CoeffVector:
-    """Flow-generator action on coefficients; window grows by one each side."""
-    out, out_win = apply_u_axis_array(f.coeffs, 0, f.param, f.window)
-    return CoeffVector(f.param, out_win, out)
-
-
 def u_matrix(param: SeriesParam, window: IndexWindow) -> tuple[np.ndarray, IndexWindow]:
     """Dense matrix of the generator from `window` to the expanded window."""
     check_window(param, window)
@@ -169,26 +106,32 @@ def u_matrix(param: SeriesParam, window: IndexWindow) -> tuple[np.ndarray, Index
     return np.ascontiguousarray(a), out_win
 
 
-def sobolev_norm(f: CoeffVector, t: float) -> float:
-    """sqrt of sum (1+mu+2k^2)^t |f(k)|^2 ||u(k)||^2 (negative t allowed)."""
-    q = weight_q_array(f.param, f.window.indices())
-    w2 = basis_norm_sq_array(f.param, f.window)
-    mag2 = np.abs(f.coeffs) ** 2
+def weight_grids(
+    factors: tuple[SeriesParam, ...], windows: tuple[IndexWindow, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(1 + sum mu + 2|k|^2) grid and the product of squared basis norms."""
+    d = len(factors)
+    base = 1.0 + float(sum(p.mu for p in factors))
+    q = np.zeros(tuple(len(w) for w in windows))
+    w2 = np.ones(tuple(len(w) for w in windows))
+    for j, (p, w) in enumerate(zip(factors, windows)):
+        shape = [1] * d
+        shape[j] = len(w)
+        ks = w.indices().astype(np.float64)
+        q = q + (2.0 * ks * ks).reshape(shape)
+        w2 = w2 * basis_norm_sq_array(p, w).reshape(shape)
+    return base + q, w2
+
+
+def sobolev_norm_array(
+    factors: tuple[SeriesParam, ...],
+    windows: tuple[IndexWindow, ...],
+    coeffs: np.ndarray,
+    t: float,
+) -> float:
+    """sqrt of sum (1 + sum mu_j + 2|k|^2)^t |f(k)|^2 prod ||u(k_j)||^2."""
+    qgrid, w2 = weight_grids(factors, windows)
+    mag2 = np.abs(coeffs) ** 2
     if t == 0.0:
-        total = float(np.sum(mag2 * w2))
-    else:
-        total = float(np.sum((1.0 + q) ** t * mag2 * w2))
-    return float(np.sqrt(total))
-
-
-def inner_product(f: CoeffVector, g: CoeffVector) -> complex:
-    """sum f(k) conj(g(k)) ||u(k)||^2 over the window intersection."""
-    if f.param != g.param:
-        raise ParamMismatch(f"{f.param.label()} vs {g.param.label()}")
-    if not _overlap(f.window, g.window):
-        return 0.0 + 0.0j
-    common = f.window.intersect(g.window)
-    fs = f.coeffs[common.lo - f.window.lo : common.hi - f.window.lo + 1]
-    gs = g.coeffs[common.lo - g.window.lo : common.hi - g.window.lo + 1]
-    w2 = basis_norm_sq_array(f.param, common)
-    return complex(np.sum(fs * np.conj(gs) * w2))
+        return float(np.sqrt(np.sum(mag2 * w2)))
+    return float(np.sqrt(np.sum(qgrid**t * mag2 * w2)))

@@ -27,8 +27,7 @@ import numpy as np
 from .errors import SchemaError
 from .forms import LeafwiseForm
 from .params import IndexWindow, Kind, MultiParam, SeriesParam
-from .repn import CoeffVector
-from .tensor import TensorCoeffs, from_coeff_vector
+from .tensor import TensorCoeffs
 
 FORMAT_VERSION = 1
 
@@ -43,6 +42,13 @@ def json_int(value: Any) -> int:
     if isinstance(value, bool) or not integral:
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def json_float(value: Any) -> float:
+    """A real-number field of a JSON document; bools and strings raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def factor_to_json(p: SeriesParam) -> dict:
@@ -95,8 +101,8 @@ def _coeffs_from_json(
         raise SchemaError("coeffs must be a list")
     for e in entries:
         try:
-            k = tuple(int(x) for x in e["k"])
-            re, im = float(e["re"]), float(e["im"])
+            k = tuple(json_int(x) for x in e["k"])
+            re, im = json_float(e["re"]), json_float(e["im"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad coefficient entry {e!r}: {exc}") from exc
         if len(k) != len(windows):
@@ -148,17 +154,6 @@ def tensor_from_json(doc: Any, eps0: float = 0.05, nu0: float = 0.95) -> TensorC
     return TensorCoeffs(params, windows, arr)
 
 
-def vector_to_json(f: CoeffVector) -> dict:
-    return tensor_to_json(from_coeff_vector(f))
-
-
-def vector_from_json(doc: Any, eps0: float = 0.05, nu0: float = 0.95) -> CoeffVector:
-    t = tensor_from_json(doc, eps0, nu0)
-    if t.d != 1:
-        raise SchemaError(f"expected one factor, got {t.d}")
-    return t.factor_vector()
-
-
 def form_to_json(w: LeafwiseForm) -> dict:
     return {
         "format_version": FORMAT_VERSION,
@@ -185,7 +180,7 @@ def form_from_json(doc: Any, eps0: float = 0.05, nu0: float = 0.95) -> LeafwiseF
     comps = {}
     for e in entries:
         try:
-            axes = tuple(int(a) - 1 for a in e["axes"])
+            axes = tuple(json_int(a) - 1 for a in e["axes"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad component entry: {exc}") from exc
         if axes in comps:

@@ -1,11 +1,11 @@
 """Coboundary solvers: the degree-1 base case, the splitting, the recursion.
 
-The degree-1 equation U g = f is solved as a weighted least-squares problem
-on a padded window.  The truncated operator is a full-column-rank banded
-matrix whose cokernel is exactly the span of the restricted invariant
-functionals, so for inputs annihilated by those functionals the truncated
-system is consistent and the (unique) least-squares solution is exact up to
-rounding.  Obstructed inputs leave a residual bounded below by the dual
+The degree-1 equation U g = f (`solve_top` on a rank-1 tensor) is solved as
+a weighted least-squares problem on a padded window.  The truncated
+operator is a full-column-rank banded matrix whose cokernel is exactly the
+span of the restricted invariant functionals, so for inputs annihilated by
+those functionals the truncated system is consistent and the (unique)
+least-squares solution is exact up to rounding.  Obstructed inputs leave a residual bounded below by the dual
 certificate |D(f)| / ||Riesz(D)||, which `obstruction_certificate` reports.
 
 Top degree recurses on the number of factors: split f into f_otimes + f_d,
@@ -27,7 +27,7 @@ from . import tensor
 from .distributions import Sign, dist_values_array, phi, valid_signs
 from .errors import NoConvergence, NotInKernel
 from .params import IndexWindow, MultiParam, SeriesParam, expand_window
-from .repn import CoeffVector, basis_norm_sq_array, sobolev_norm, u_matrix
+from .repn import basis_norm_sq_array, u_matrix
 from .tensor import TensorCoeffs, norm0, tensor_sobolev_norm, valid_tags
 
 
@@ -63,15 +63,6 @@ class SolveReport:
     kernel_defect: float
     sobolev_ratios: dict[float, float] = field(default_factory=dict)
     refinements_used: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "residual_interior": self.residual_interior,
-            "f_norm0": self.f_norm0,
-            "kernel_defect": self.kernel_defect,
-            "sobolev_ratios": {str(t): r for t, r in self.sobolev_ratios.items()},
-            "refinements_used": self.refinements_used,
-        }
 
 
 def sigma_schedule(t: float, d: int, s1: float = 3.0, c: float = 0.5) -> float:
@@ -199,8 +190,7 @@ def split(f: TensorCoeffs) -> SplitParts:
         dv = dist_values_array(p_last, s, w_last)
         amp = np.tensordot(f.coeffs, dv, axes=([d - 1], [0]))
         amplitudes[s] = TensorCoeffs(lead_params, lead_windows, amp)
-        phi_vec = phi(p_last, s).embedded(w_last).coeffs
-        f_ot = f_ot + amp[..., None] * phi_vec
+        f_ot = f_ot + amp[..., None] * phi(p_last, s, w_last)
     f_otimes = TensorCoeffs(f.params, f.windows, f_ot)
     f_d = TensorCoeffs(f.params, f.windows, f.coeffs - f_ot)
     return SplitParts(f_otimes, f_d, amplitudes)
@@ -278,8 +268,7 @@ def _solve_top_rec(
         for s in (Sign.PLUS, Sign.MINUS):
             if partials[s] is not None:
                 gi, gi_wins = partials[s][i]
-                phi_vec = phi(p_last, s).embedded(w_last).coeffs
-                terms.append((gi[..., None] * phi_vec, gi_wins + (w_last,)))
+                terms.append((gi[..., None] * phi(p_last, s, w_last), gi_wins + (w_last,)))
         if not terms:
             shape = tuple(len(w) for w in lead_windows) + (len(w_last),)
             terms = [(np.zeros(shape, np.complex128), lead_windows + (w_last,))]
@@ -339,26 +328,6 @@ def solve_top(
     return g_list, report
 
 
-def solve_degree1(
-    f: CoeffVector, opts: SolveOptions = SolveOptions()
-) -> tuple[CoeffVector, SolveReport]:
-    """Solve U g = f for one irreducible: `solve_top` on the rank-1 tensor.
-
-    Returns the unique least-squares solution on the padded window and the
-    report of `verify_solution`.  Raises NotInKernel when an invariant
-    functional does not vanish on f, NoConvergence when refinement fails.
-    """
-    g_list, report = solve_top(tensor.from_coeff_vector(f), opts)
-    return g_list[0].factor_vector(), report
-
-
-def solve_top_vector(
-    f: CoeffVector, opts: SolveOptions = SolveOptions()
-) -> tuple[list[TensorCoeffs], SolveReport]:
-    """d = 1 entry point taking a bare CoeffVector."""
-    return solve_top(tensor.from_coeff_vector(f), opts)
-
-
 def verify_solution(
     f: TensorCoeffs,
     g_list: list[TensorCoeffs],
@@ -401,15 +370,18 @@ class ObstructionProbe:
     f_norm0: float
 
 
-def least_squares_probe(f: CoeffVector, opts: SolveOptions = SolveOptions()) -> ObstructionProbe:
-    """Minimal degree-1 residuals at pad and 2*pad, skipping kernel checks."""
-    fn0 = sobolev_norm(f, 0.0)
+def least_squares_probe(f: TensorCoeffs, opts: SolveOptions = SolveOptions()) -> ObstructionProbe:
+    """Minimal degree-1 residuals of a rank-1 f at pad and 2*pad, skipping
+    kernel checks."""
+    if f.d != 1:
+        raise ValueError(f"degree-1 probe needs a rank-1 tensor, got d={f.d}")
+    (param,), (window,) = f.params.factors, f.windows
     out = []
     for pad in (opts.pad, 2 * opts.pad):
-        win_in = expand_window(f.param, f.window, pad)
-        _, resid = _lstsq_rows(f.param, win_in, f.coeffs[None, :], f.window)
+        win_in = expand_window(param, window, pad)
+        _, resid = _lstsq_rows(param, win_in, f.coeffs[None, :], window)
         out.append(float(resid[0]))
-    return ObstructionProbe(out[0], out[1], fn0)
+    return ObstructionProbe(out[0], out[1], norm0(f))
 
 
 def obstruction_certificate(f: TensorCoeffs, pad: int = 8) -> float:

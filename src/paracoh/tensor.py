@@ -1,12 +1,17 @@
 """d-fold tensor products: multi-indexed coefficients and product functionals.
 
-Coefficients are dense complex arrays with one axis per factor; axis j is
-indexed by window_j.  Per-axis generator actions, the norm-weighted
-restriction (which multiplies in the basis norms of the fixed indices),
-product invariant functionals, and the joint-kernel projector live here.
+`TensorCoeffs` is the package's one coefficient type: a dense complex array
+with one axis per factor, axis j indexed by window_j.  An element of a
+single irreducible is the rank-1 case (d = 1); it is solved by `solve_top`,
+normed by `tensor_sobolev_norm`, paired by `product_dist_evaluate` and
+saved by `serialize.tensor_to_json` like any other.  Per-axis generator
+actions, the norm-weighted restriction (which multiplies in the basis norms
+of the fixed indices), product invariant functionals, and the joint-kernel
+projector live here.
 
 The per-axis action is `repn.apply_u_axis_array`, imported here by name; it
-is the package's only copy of the generator stencil.  `hull` is the one
+is the package's only copy of the generator stencil.  The norm is
+`repn.sobolev_norm_array` on the tensor's factors.  `hull` is the one
 window-hull helper: every sum of arrays on different windows embeds them
 into `hull(...)` first.
 """
@@ -22,7 +27,7 @@ from . import distributions as dist
 from . import repn
 from .distributions import Sign
 from .errors import InvalidIndex, ParamMismatch
-from .params import IndexWindow, MultiParam, check_window
+from .params import IndexWindow, MultiParam, SeriesParam, check_window
 from .repn import apply_u_axis_array
 
 
@@ -57,24 +62,20 @@ class TensorCoeffs:
         arr = embed_array(self.coeffs, self.windows, windows)
         return TensorCoeffs(self.params, tuple(windows), arr)
 
-    def factor_vector(self) -> repn.CoeffVector:
-        """View a rank-1 tensor as a CoeffVector."""
-        if self.d != 1:
-            raise ValueError(f"rank-1 only, got d={self.d}")
-        return repn.CoeffVector(self.params.factors[0], self.windows[0], self.coeffs.copy())
-
-
-def from_coeff_vector(f: repn.CoeffVector, params: MultiParam | None = None) -> TensorCoeffs:
-    if params is None:
-        params = MultiParam((f.param,))
-    if params.d != 1 or params.factors[0] != f.param:
-        raise ParamMismatch("params do not match the vector's factor")
-    return TensorCoeffs(params, (f.window,), f.coeffs.copy())
-
 
 def zeros(params: MultiParam, windows: tuple[IndexWindow, ...]) -> TensorCoeffs:
     shape = tuple(len(w) for w in windows)
     return TensorCoeffs(params, tuple(windows), np.zeros(shape, dtype=np.complex128))
+
+
+def basis_vector(param: SeriesParam, k: int, window: IndexWindow | None = None) -> TensorCoeffs:
+    """The rank-1 basis element u(k), optionally embedded in a given window."""
+    param.check_index(k)
+    if window is None:
+        window = IndexWindow(k, k)
+    coeffs = np.zeros(len(window), dtype=np.complex128)
+    coeffs[k - window.lo] = 1.0
+    return TensorCoeffs(MultiParam((param,)), (window,), coeffs)
 
 
 def embed_array(
@@ -120,32 +121,26 @@ def add(a: TensorCoeffs, b: TensorCoeffs, scale: complex = 1.0) -> TensorCoeffs:
     return TensorCoeffs(a.params, wins, arr)
 
 
-def _weight_grids(params: MultiParam, windows) -> tuple[np.ndarray, np.ndarray]:
-    """(1 + sum mu + 2|k|^2) grid and the product of squared basis norms."""
-    d = params.d
-    base = 1.0 + params.mu_sum
-    q = np.zeros(tuple(len(w) for w in windows))
-    w2 = np.ones(tuple(len(w) for w in windows))
-    for j, (p, w) in enumerate(zip(params.factors, windows)):
-        shape = [1] * d
-        shape[j] = len(w)
-        ks = w.indices().astype(np.float64)
-        q = q + (2.0 * ks * ks).reshape(shape)
-        w2 = w2 * repn.basis_norm_sq_array(p, w).reshape(shape)
-    return base + q, w2
-
-
 def tensor_sobolev_norm(f: TensorCoeffs, t: float) -> float:
     """sqrt of sum (1 + sum mu_j + 2|k|^2)^t |f(k)|^2 prod ||u(k_j)||^2."""
-    qgrid, w2 = _weight_grids(f.params, f.windows)
-    mag2 = np.abs(f.coeffs) ** 2
-    if t == 0.0:
-        return float(np.sqrt(np.sum(mag2 * w2)))
-    return float(np.sqrt(np.sum(qgrid**t * mag2 * w2)))
+    return repn.sobolev_norm_array(f.params.factors, f.windows, f.coeffs, t)
 
 
 def norm0(f: TensorCoeffs) -> float:
     return tensor_sobolev_norm(f, 0.0)
+
+
+def inner_product(f: TensorCoeffs, g: TensorCoeffs) -> complex:
+    """sum f(k) conj(g(k)) prod ||u(k_j)||^2 over the window intersection."""
+    if f.params != g.params:
+        raise ParamMismatch(f"{f.params.label()} vs {g.params.label()}")
+    if any(max(a.lo, b.lo) > min(a.hi, b.hi) for a, b in zip(f.windows, g.windows)):
+        return 0.0 + 0.0j
+    common = tuple(a.intersect(b) for a, b in zip(f.windows, g.windows))
+    fs = f.coeffs[tuple(slice(c.lo - w.lo, c.hi - w.lo + 1) for c, w in zip(common, f.windows))]
+    gs = g.coeffs[tuple(slice(c.lo - w.lo, c.hi - w.lo + 1) for c, w in zip(common, g.windows))]
+    _, w2 = repn.weight_grids(f.params.factors, common)
+    return complex(np.sum(fs * np.conj(gs) * w2))
 
 
 def apply_U_factor(f: TensorCoeffs, axis: int) -> TensorCoeffs:
@@ -220,9 +215,7 @@ def product_dist_evaluate(f: TensorCoeffs, tag: MultiTag) -> complex:
 
 def phi_tensor(params: MultiParam, tag: MultiTag, windows: tuple[IndexWindow, ...]) -> TensorCoeffs:
     """The product dual element Phi_tag = tensor of per-factor phis."""
-    vecs = []
-    for p, w, s in zip(params.factors, windows, tag):
-        vecs.append(dist.phi(p, s).embedded(w).coeffs)
+    vecs = [dist.phi(p, s, w) for p, w, s in zip(params.factors, windows, tag)]
     out = vecs[0]
     for v in vecs[1:]:
         out = np.multiply.outer(out, v)

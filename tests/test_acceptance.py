@@ -34,9 +34,17 @@ from paracoh.generate import (
 )
 from paracoh.params import Kind
 from paracoh.rational import dist_invariance_defect_exact, pairing_matrix_exact
-from paracoh.repn import basis_vector, weight_Q
+from paracoh.repn import weight_Q
 from paracoh.solver import least_squares_probe, obstruction_certificate, split
-from paracoh.tensor import norm0, phi_tensor, slice_axis, tensor_sobolev_norm, valid_tags
+from paracoh.tensor import (
+    TensorCoeffs,
+    basis_vector,
+    norm0,
+    phi_tensor,
+    slice_axis,
+    tensor_sobolev_norm,
+    valid_tags,
+)
 from paracoh import forms
 
 
@@ -114,7 +122,7 @@ def test_criterion_04_degree1_round_trip():
         rng = np.random.default_rng(np.random.SeedSequence([4, hash(p.label()) % 2**32]))
         for _ in range(20):
             f, _ = random_coboundary_vector(p, win, rng)
-            _, rep = pc.solve_degree1(f, opts)
+            _, rep = pc.solve_top(f, opts)
             worst = max(worst, rep.residual_interior / rep.f_norm0)
     assert worst <= 1e-8, f"round-trip residual {worst:.3e}"
     _verdict(4, t0, f"20 coboundaries x 12 params at K=256; worst relative residual {worst:.2e}")
@@ -125,7 +133,7 @@ def test_criterion_05_obstruction_detection():
     # lowest discrete basis vector: D+ = 1
     p = SeriesParam.discrete(1)
     with pytest.raises(NotInKernel):
-        pc.solve_degree1(basis_vector(p, 1, default_window(p, 64)))
+        pc.solve_top(basis_vector(p, 1, default_window(p, 64)))
     # product dual element: every tag pairs to a Kronecker delta
     mp = MultiParam((SeriesParam.complementary(0.9), SeriesParam.complementary(0.9)))
     wins = tuple(default_window(q, 64) for q in mp.factors)
@@ -136,7 +144,8 @@ def test_criterion_05_obstruction_detection():
     # base-level probe at pad and 2*pad, plus the certified lower bound for
     # the joint truncated operator at both window sizes
     q = mp.factors[0]
-    pv = pc.phi(q, Sign.MINUS).embedded(default_window(q, 256))
+    qwin = default_window(q, 256)
+    pv = TensorCoeffs(MultiParam((q,)), (qwin,), pc.phi(q, Sign.MINUS, qwin))
     probe = least_squares_probe(pv, SolveOptions(pad=8))
     assert probe.residual >= 0.1 * probe.f_norm0
     assert probe.residual_refined >= 0.1 * probe.f_norm0

@@ -9,18 +9,20 @@ import numpy as np
 import pytest
 
 from paracoh import (
+    MultiParam,
     SeriesParam,
     Sign,
     TailNotConverged,
-    apply_U,
+    TensorCoeffs,
+    apply_U_factor,
     basis_vector,
     default_window,
     dist_basis_value,
     dist_order_sum,
-    evaluate,
     phi,
     phi_pairing_matrix,
     phi_sobolev_sum,
+    product_dist_evaluate,
 )
 from paracoh.distributions import dist_values_array, valid_signs
 from paracoh.generate import random_vector
@@ -64,28 +66,37 @@ def test_evaluate_examples():
     p = SeriesParam.principal(2.0)
     w = IndexWindow(0, 1)
     f = basis_vector(p, 0, w).coeffs - basis_vector(p, 1, w).coeffs
-    from paracoh.repn import CoeffVector
-
-    assert evaluate(CoeffVector(p, w, f), Sign.PLUS) == 0.0
+    assert product_dist_evaluate(TensorCoeffs(MultiParam((p,)), (w,), f), (Sign.PLUS,)) == 0.0
     q = SeriesParam.complementary(0.5)
-    assert evaluate(basis_vector(q, 2), Sign.MINUS) == pytest.approx(5 / 21)
-    assert evaluate(phi(q, Sign.PLUS), Sign.MINUS) == pytest.approx(0.0, abs=1e-15)
+    assert product_dist_evaluate(basis_vector(q, 2), (Sign.MINUS,)) == pytest.approx(5 / 21)
+    phi_q = TensorCoeffs(MultiParam((q,)), (w,), phi(q, Sign.PLUS, w))
+    assert product_dist_evaluate(phi_q, (Sign.MINUS,)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_phi_displays():
     q = SeriesParam.complementary(0.5)
-    v = phi(q, Sign.PLUS)
-    assert v.at(0) == pytest.approx(-0.5)
-    assert v.at(1) == pytest.approx(1.5)
+    w = IndexWindow(0, 1)  # arrays index k - 0
+    v = phi(q, Sign.PLUS, w)
+    assert v[0] == pytest.approx(-0.5)
+    assert v[1] == pytest.approx(1.5)
     z = SeriesParam.principal(0.0)
-    m = phi(z, Sign.MINUS)
-    assert m.at(0) == pytest.approx(-1.0)
-    assert m.at(1) == pytest.approx(1.0)
-    assert phi(z, Sign.PLUS).at(0) == pytest.approx(1.0)
+    m = phi(z, Sign.MINUS, w)
+    assert m[0] == pytest.approx(-1.0)
+    assert m[1] == pytest.approx(1.0)
+    assert phi(z, Sign.PLUS, w)[0] == pytest.approx(1.0)
     d = SeriesParam.discrete(2)
-    vp = phi(d, Sign.PLUS)
-    assert vp.at(2) == 1.0 and len(vp.window) == 1
-    assert np.all(phi(d, Sign.MINUS).coeffs == 0)
+    vp = phi(d, Sign.PLUS, IndexWindow(2, 4))
+    assert vp[0] == 1.0 and np.count_nonzero(vp) == 1
+    assert np.all(phi(d, Sign.MINUS, IndexWindow(2, 4)) == 0)
+
+
+def test_phi_window_must_cover_support():
+    q = SeriesParam.complementary(0.5)
+    with pytest.raises(ValueError):
+        phi(q, Sign.PLUS, IndexWindow(1, 3))
+    # zero coefficients may fall outside: phi_+ at nu = 0 is u(0) alone
+    z = SeriesParam.principal(0.0)
+    assert phi(z, Sign.PLUS, IndexWindow(-2, 0)).tolist() == [0, 0, 1]
 
 
 def test_pairing_matrix_identity(grid):
@@ -104,7 +115,8 @@ def test_invariance_on_random_vectors(grid, rng):
             f = random_vector(p, win, rng, decay=2.0, margin=2)
             n0 = np.sqrt(np.sum(np.abs(f.coeffs) ** 2 * basis_norm_sq_array(p, win)))
             for tag in valid_signs(p):
-                assert abs(evaluate(apply_U(f), tag)) <= 1e-10 * max(n0, 1e-30)
+                uf = apply_U_factor(f, 0)
+                assert abs(product_dist_evaluate(uf, (tag,))) <= 1e-10 * max(n0, 1e-30)
 
 
 def _brute_order_sum(p: SeriesParam, t: float, kmax: int) -> float:

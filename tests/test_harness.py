@@ -99,12 +99,25 @@ def test_solve_top_report_and_determinism():
 
 
 def test_solve_top_parallel_matches_serial(monkeypatch):
-    cfg = _small_config(seed=3)
-    monkeypatch.setenv("PARACOH_THREADS", "1")
-    serial = cmd_solve_top(cfg).to_json()
-    monkeypatch.setenv("PARACOH_THREADS", "4")
-    threaded = cmd_solve_top(cfg).to_json()
-    assert json.dumps(serial, sort_keys=True) == json.dumps(threaded, sort_keys=True)
+    # identical reports at any PARACOH_THREADS, for each parallel command
+    p1, c5 = SeriesParam.principal(1.0), SeriesParam.complementary(0.5)
+    d1 = SeriesParam.discrete(1)
+    cfg3 = ExperimentConfig(
+        components=(ComponentConfig("a", (p1, c5, d1)), ComponentConfig("b", (d1, p1, c5))),
+        k_per_axis=6,
+        seed=11,
+    )
+    runs = {
+        "solve-top": lambda: cmd_solve_top(_small_config(seed=3)),
+        "solve-form d=3 degree 2": lambda: cmd_solve_form(cfg3, 2),
+        "verify-invariants": lambda: cmd_verify_invariants(_small_config()),
+    }
+    for name, run in runs.items():
+        monkeypatch.setenv("PARACOH_THREADS", "1")
+        serial = run().to_json()
+        monkeypatch.setenv("PARACOH_THREADS", "4")
+        threaded = run().to_json()
+        assert json.dumps(serial, sort_keys=True) == json.dumps(threaded, sort_keys=True), name
 
 
 def test_solve_form_and_degree_validation():

@@ -14,23 +14,36 @@ from hypothesis import strategies as st
 
 import paracoh as pc
 from paracoh import (
-    CoeffVector,
     IndexWindow,
     InvalidIndex,
+    MultiParam,
     ParamMismatch,
     SeriesParam,
-    apply_U,
+    TensorCoeffs,
+    apply_U_factor,
     basis_norm_sq,
     basis_vector,
     casimir_mu,
     default_window,
     inner_product,
-    sobolev_norm,
+    tensor_sobolev_norm,
     weight_Q,
 )
 from paracoh.params import Kind
 from paracoh.rational import u_action_exact
-from paracoh.repn import basis_norm_sq_array, u_matrix, zero_vector
+from paracoh.repn import basis_norm_sq_array, u_matrix
+from paracoh.tensor import zeros
+
+
+def _vec(p: SeriesParam, win: IndexWindow, coeffs) -> TensorCoeffs:
+    """Rank-1 element of one irreducible."""
+    return TensorCoeffs(MultiParam((p,)), (win,), coeffs)
+
+
+def _at(f: TensorCoeffs, k: int) -> complex:
+    """Rank-1 coefficient at basis index k, zero outside the window."""
+    w = f.windows[0]
+    return complex(f.coeffs[k - w.lo]) if k in w else 0j
 
 
 def test_casimir_examples():
@@ -67,42 +80,42 @@ def test_basis_norm_array_matches_scalar(grid):
 
 def test_apply_u_discrete_example():
     p = SeriesParam.discrete(1)
-    g = apply_U(basis_vector(p, 1))
-    assert g.at(1) == pytest.approx(1j)
-    assert g.at(2) == pytest.approx(-1j)
-    assert g.window.lo == 1  # lowest weight never undershot
+    g = apply_U_factor(basis_vector(p, 1), 0)
+    assert _at(g, 1) == pytest.approx(1j)
+    assert _at(g, 2) == pytest.approx(-1j)
+    assert g.windows[0].lo == 1  # lowest weight never undershot
 
 
 def test_apply_u_nu_zero_example():
     p = SeriesParam.principal(0.0)
-    g = apply_U(basis_vector(p, 0))
-    assert g.at(-1) == pytest.approx(0.25j)
-    assert g.at(1) == pytest.approx(-0.25j)
-    assert g.at(0) == 0
+    g = apply_U_factor(basis_vector(p, 0), 0)
+    assert _at(g, -1) == pytest.approx(0.25j)
+    assert _at(g, 1) == pytest.approx(-0.25j)
+    assert _at(g, 0) == 0
 
 
 def test_apply_u_linearity_zero(grid):
     for p in grid:
         win = default_window(p, 6)
-        g = apply_U(zero_vector(p, win))
-        assert sobolev_norm(g, 0.0) == 0.0
+        g = apply_U_factor(zeros(MultiParam((p,)), (win,)), 0)
+        assert tensor_sobolev_norm(g, 0.0) == 0.0
 
 
 def test_discrete_lowest_weight_never_undershot(rng):
     p = SeriesParam.discrete(3)
     win = default_window(p, 16)
-    f = CoeffVector(p, win, (rng.standard_normal(len(win)) + 0j))
-    g = apply_U(f)
-    assert g.window.lo == 3
+    f = _vec(p, win, (rng.standard_normal(len(win)) + 0j))
+    g = apply_U_factor(f, 0)
+    assert g.windows[0].lo == 3
 
 
 def test_discrete_window_above_lowest_weight(rng):
     # windows need not start at the lowest weight; expansion stays valid
     p = SeriesParam.discrete(2)
     win = IndexWindow(7, 20)
-    f = CoeffVector(p, win, rng.standard_normal(len(win)) + 0j)
-    g = apply_U(f)
-    assert g.window == IndexWindow(6, 21)
+    f = _vec(p, win, rng.standard_normal(len(win)) + 0j)
+    g = apply_U_factor(f, 0)
+    assert g.windows[0] == IndexWindow(6, 21)
     a, wout = u_matrix(p, win)
     assert wout == IndexWindow(6, 21)
     assert a.shape == (16, 14)
@@ -112,17 +125,17 @@ def test_sobolev_norm_examples():
     p = SeriesParam.principal(1.0)
     f = basis_vector(p, 0)
     # weight (1+mu+2k^2)^t: single term (3/2)^2, then the square root
-    assert sobolev_norm(f, 2.0) == pytest.approx(1.5)
-    assert sobolev_norm(f, 1.0) == pytest.approx(np.sqrt(1.5))
-    assert sobolev_norm(zero_vector(p, IndexWindow(-2, 2)), 3.0) == 0.0
+    assert tensor_sobolev_norm(f, 2.0) == pytest.approx(1.5)
+    assert tensor_sobolev_norm(f, 1.0) == pytest.approx(np.sqrt(1.5))
+    assert tensor_sobolev_norm(zeros(MultiParam((p,)), (IndexWindow(-2, 2),)), 3.0) == 0.0
     q = SeriesParam.complementary(0.5)
-    assert sobolev_norm(basis_vector(q, 1), 0.0) == pytest.approx(np.sqrt(1 / 3))
+    assert tensor_sobolev_norm(basis_vector(q, 1), 0.0) == pytest.approx(np.sqrt(1 / 3))
 
 
 def test_sobolev_negative_order():
     p = SeriesParam.principal(1.0)
     f = basis_vector(p, 5)
-    assert sobolev_norm(f, -2.0) == pytest.approx((1 + 0.5 + 50) ** -1.0)
+    assert tensor_sobolev_norm(f, -2.0) == pytest.approx((1 + 0.5 + 50) ** -1.0)
 
 
 def test_inner_product():
@@ -181,9 +194,8 @@ def test_derivative_norm_constant(grid, rng):
         for t in (0.0, 1.0, 2.0):
             for _ in range(5):
                 f = random_vector(p, win, rng, decay=2.0)
-                worst = max(
-                    worst, sobolev_norm(apply_U(f), t) / sobolev_norm(f, t + 1.0)
-                )
+                uf = apply_U_factor(f, 0)
+                worst = max(worst, tensor_sobolev_norm(uf, t) / tensor_sobolev_norm(f, t + 1.0))
     assert worst <= 4.0
 
 
@@ -191,9 +203,9 @@ def test_embedded_guards_support():
     p = SeriesParam.principal(1.0)
     v = basis_vector(p, 3, IndexWindow(0, 4))
     with pytest.raises(ValueError):
-        v.embedded(IndexWindow(0, 2))
-    w = v.embedded(IndexWindow(-1, 6))
-    assert w.at(3) == 1.0
+        v.embedded((IndexWindow(0, 2),))
+    w = v.embedded((IndexWindow(-1, 6),))
+    assert _at(w, 3) == 1.0
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,8 @@ from paracoh import ConfigError, MultiParam, SchemaError, SeriesParam, default_w
 from paracoh.config import config_from_json, config_to_json, default_config
 from paracoh.generate import random_closed_form, random_tensor
 from paracoh.serialize import (
+    form_from_json,
+    form_to_json,
     load_form,
     load_tensor,
     save_form,
@@ -16,8 +18,6 @@ from paracoh.serialize import (
     table_to_csv,
     tensor_from_json,
     tensor_to_json,
-    vector_from_json,
-    vector_to_json,
 )
 
 
@@ -48,10 +48,10 @@ def test_vector_round_trip(rng):
     from paracoh.generate import random_vector
 
     v = random_vector(p, default_window(p, 8), rng)
-    doc = vector_to_json(v)
-    w = vector_from_json(doc)
+    doc = tensor_to_json(v)
+    w = tensor_from_json(doc)
     assert np.array_equal(w.coeffs, v.coeffs)
-    assert w.param == p
+    assert w.params.factors == (p,)
 
 
 def test_form_round_trip(tmp_path, rng):
@@ -156,3 +156,16 @@ def test_schema_ints_not_coerced(rng):
         doc[section][idx][key] = bad
         with pytest.raises(SchemaError):
             tensor_from_json(doc)
+    # coefficient indices and values: one entry, so no duplicate index masks the check
+    one = {"k": [0, 1], "re": 1.0, "im": 0.0}
+    assert tensor_from_json({**base, "coeffs": [one]}).coeffs[4, 0] == 1.0
+    for bad in ({"k": [0.7, 1]}, {"k": [True, 1]}, {"re": True}, {"im": "2.5"}):
+        with pytest.raises(SchemaError):
+            tensor_from_json({**base, "coeffs": [{**one, **bad}]})
+    # 1-based form axes: int() would read 1.9 and true as axis 1
+    form = form_to_json(random_closed_form(mp, wins, 1, rng)[0])
+    for bad in (1.9, True):
+        doc = json.loads(json.dumps(form))
+        doc["components"][0]["axes"] = [bad]
+        with pytest.raises(SchemaError):
+            form_from_json(doc)

@@ -12,8 +12,8 @@ from paracoh import (
     Sign,
     SolveOptions,
     default_window,
+    apply_U_factor,
     sigma_schedule,
-    solve_degree1,
     solve_top,
     split,
 )
@@ -23,7 +23,6 @@ from paracoh.generate import (
     random_kernel_tensor,
 )
 from paracoh.params import IndexWindow
-from paracoh.repn import CoeffVector, basis_vector, sobolev_norm, zero_vector
 from paracoh.solver import (
     least_squares_probe,
     obstruction_certificate,
@@ -32,10 +31,12 @@ from paracoh.solver import (
 )
 from paracoh.tensor import (
     TensorCoeffs,
+    basis_vector,
     norm0,
     phi_tensor,
     slice_axis,
     valid_tags,
+    zeros,
 )
 from paracoh.distributions import dist_values_array, valid_signs
 
@@ -68,33 +69,34 @@ def test_degree1_round_trip(grid, rng):
         win = default_window(p, 48)
         for _ in range(3):
             f, g0 = random_coboundary_vector(p, win, rng)
-            g, rep = solve_degree1(f, opts)
+            (g,), rep = solve_top(f, opts)
             assert rep.residual_interior <= 1e-8 * rep.f_norm0, p.label()
             # residual recomputed independently of the solver's own report
-            ug = pc.apply_U(g)
-            diff = ug.coeffs - f.embedded(ug.window).coeffs
-            direct = sobolev_norm(CoeffVector(p, ug.window, diff), 0.0)
+            ug = apply_U_factor(g, 0)
+            diff = ug.coeffs - f.embedded(ug.windows).coeffs
+            direct = norm0(TensorCoeffs(f.params, ug.windows, diff))
             assert direct <= 1e-8 * rep.f_norm0
 
 
 def test_degree1_zero_input():
     p = SeriesParam.principal(1.0)
-    g, rep = solve_degree1(zero_vector(p, IndexWindow(-8, 8)))
-    assert sobolev_norm(g, 0.0) == 0.0 and rep.residual_interior == 0.0
+    (g,), rep = solve_top(zeros(MultiParam((p,)), (IndexWindow(-8, 8),)))
+    assert norm0(g) == 0.0 and rep.residual_interior == 0.0
 
 
 def test_degree1_obstruction_discrete():
     p = SeriesParam.discrete(1)
     f = basis_vector(p, 1, default_window(p, 32))
     with pytest.raises(NotInKernel):
-        solve_degree1(f)
+        solve_top(f)
 
 
 def test_degree1_obstruction_residual_bounded_below():
     # the minus functional on a complementary factor has slowly growing
     # dual norm, so the least-squares residual stays well above zero
     p = SeriesParam.complementary(0.9)
-    f = pc.phi(p, Sign.MINUS).embedded(default_window(p, 256))
+    win = default_window(p, 256)
+    f = TensorCoeffs(MultiParam((p,)), (win,), pc.phi(p, Sign.MINUS, win))
     probe = least_squares_probe(f, SolveOptions(pad=8))
     assert probe.residual >= 0.1 * probe.f_norm0
     assert probe.residual_refined >= 0.1 * probe.f_norm0
@@ -156,7 +158,7 @@ def test_solve_top_d1_delegates():
     p = SeriesParam.principal(1.0)
     rng = np.random.default_rng(5)
     f, _ = random_coboundary_vector(p, default_window(p, 32), rng)
-    g_list, rep = pc.solver.solve_top_vector(f)
+    g_list, rep = solve_top(f)
     assert len(g_list) == 1
     assert rep.residual_interior <= 1e-8 * rep.f_norm0
 
@@ -326,8 +328,9 @@ def test_mutated_lowering_sign_breaks_invariance():
 def test_no_convergence_budget_exhausted():
     # an obstructed input forced through the refinement loop must raise
     p = SeriesParam.complementary(0.9)
-    f = pc.phi(p, Sign.MINUS).embedded(default_window(p, 64))
+    win = default_window(p, 64)
+    f = pc.phi(p, Sign.MINUS, win)
     from paracoh.solver import _solve_rows_refined
 
     with pytest.raises(NoConvergence):
-        _solve_rows_refined(p, f.window, f.coeffs[None, :], SolveOptions(pad=4), 1.0)
+        _solve_rows_refined(p, win, f[None, :], SolveOptions(pad=4), 1.0)

@@ -20,7 +20,7 @@ from paracoh import (
 from paracoh.generate import random_tensor
 from paracoh.params import IndexWindow
 from paracoh.repn import weight_Q
-from paracoh.tensor import from_coeff_vector, kernel_defects, norm0, phi_tensor, slice_axis
+from paracoh.tensor import kernel_defects, norm0, phi_tensor, slice_axis
 from paracoh import basis_vector
 
 
@@ -51,25 +51,23 @@ def test_tensor_norm_factorizes_at_t0(rng):
     a = rng.standard_normal(len(wins[0])) + 1j * rng.standard_normal(len(wins[0]))
     b = rng.standard_normal(len(wins[1])) + 1j * rng.standard_normal(len(wins[1]))
     f = TensorCoeffs(mp, wins, np.outer(a, b))
-    from paracoh.repn import CoeffVector, sobolev_norm
-
-    na = sobolev_norm(CoeffVector(p, wins[0], a), 0.0)
-    nb = sobolev_norm(CoeffVector(q, wins[1], b), 0.0)
+    na = norm0(TensorCoeffs(MultiParam((p,)), wins[:1], a))
+    nb = norm0(TensorCoeffs(MultiParam((q,)), wins[1:], b))
     assert tensor_sobolev_norm(f, 0.0) == pytest.approx(na * nb)
 
 
 def test_apply_u_factor_matches_single(rng):
-    from paracoh import apply_U
-
     p = SeriesParam.principal(2.0)
     q = SeriesParam.discrete(1)
     mp = MultiParam((p, q))
     wins = (default_window(p, 6), default_window(q, 6))
     f = _basis_tensor(mp, wins, (0, 1))
     g = apply_U_factor(f, 1)
-    gv = apply_U(basis_vector(q, 1, wins[1]))
+    gv = apply_U_factor(basis_vector(q, 1, wins[1]), 0)
     for k in g.windows[1].indices():
-        assert g.coeffs[wins[0].lo * -1, k - g.windows[1].lo] == pytest.approx(gv.at(int(k)))
+        assert g.coeffs[wins[0].lo * -1, k - g.windows[1].lo] == pytest.approx(
+            gv.coeffs[k - gv.windows[0].lo]
+        )
 
 
 def test_apply_u_factors_commute(rng):
@@ -171,11 +169,3 @@ def test_projection_inequalities(rng):
                 ) ** 2
             assert lhs2 <= tensor_sobolev_norm(f, tau + sig) ** 2 * (1 + 1e-12)
 
-
-def test_from_coeff_vector_round_trip():
-    p = SeriesParam.discrete(1)
-    v = basis_vector(p, 2, IndexWindow(1, 5))
-    t = from_coeff_vector(v)
-    assert t.d == 1
-    back = t.factor_vector()
-    assert np.array_equal(back.coeffs, v.coeffs)

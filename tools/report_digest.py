@@ -1,0 +1,64 @@
+"""Write the reference report set and print one `sha256  file` line per file.
+
+The set is the built-in default config at d = 1, 2, 3 with seeds 0, 1, 2:
+
+    solve-top          d=1 at K=32 and K=512, d=2 and d=3 at K=32
+    verify-invariants  d=2
+    sweep-bounds       d=2
+    solve-form         --degree 1 at d=2, --degree 2 at d=3
+
+Reports go to a temporary directory that is removed afterwards; file names
+are printed relative to it.  Two checkouts whose outputs are identical write
+byte-identical reports for this set:
+
+    python3 tools/report_digest.py > after.txt
+    diff before.txt after.txt
+
+The package is imported from the `src/` next to this script, so running the
+copy in another checkout hashes that checkout's code.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+from paracoh import experiments  # noqa: E402
+from paracoh.config import default_config  # noqa: E402
+
+# (directory, d, K, command taking the config)
+RUNS = [
+    ("solve-top-d1-k32", 1, 32, experiments.cmd_solve_top),
+    ("solve-top-d1-k512", 1, 512, experiments.cmd_solve_top),
+    ("solve-top-d2", 2, 32, experiments.cmd_solve_top),
+    ("solve-top-d3", 3, 32, experiments.cmd_solve_top),
+    ("verify-invariants", 2, 32, experiments.cmd_verify_invariants),
+    ("sweep-bounds", 2, 32, experiments.cmd_sweep_bounds),
+    ("solve-form-deg1-d2", 2, 32, lambda cfg: experiments.cmd_solve_form(cfg, 1)),
+    ("solve-form-deg2-d3", 3, 32, lambda cfg: experiments.cmd_solve_form(cfg, 2)),
+]
+SEEDS = (0, 1, 2)
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="report-digest-") as root:
+        for seed in SEEDS:
+            for name, d, k, command in RUNS:
+                cfg = default_config(d=d, seed=seed, k_per_axis=k)
+                experiments.write_report(command(cfg), os.path.join(root, f"seed{seed}", name))
+        paths = []
+        for dirpath, _, files in os.walk(root):
+            paths += [os.path.join(dirpath, f) for f in files if f.endswith((".json", ".csv"))]
+        for path in sorted(paths):
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            print(f"{digest}  {os.path.relpath(path, root)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
