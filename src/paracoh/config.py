@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .params import MultiParam, SeriesParam
-from .serialize import factor_from_json, factor_to_json, json_int
+from .serialize import factor_from_json, factor_to_json, json_float, json_int
 from .solver import SolveOptions
 
 
@@ -99,17 +99,19 @@ def config_from_json(doc) -> ExperimentConfig:
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad components entry: {exc}") from exc
     kwargs = {}
-    for key in ("k_per_axis", "seed", "pad", "max_refine"):
+    scalars = [(key, json_int) for key in ("k_per_axis", "seed", "pad", "max_refine")]
+    scalars += [(key, json_float) for key in ("eps0", "nu0", "tol_kernel", "tol_residual")]
+    for key, convert in scalars:
         if key in doc:
             try:
-                kwargs[key] = json_int(doc[key])
+                kwargs[key] = convert(doc[key])
             except ValueError as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
-    for key in ("eps0", "nu0", "tol_kernel", "tol_residual"):
-        if key in doc:
-            kwargs[key] = float(doc[key])
     if "t_list" in doc:
-        kwargs["t_list"] = tuple(float(t) for t in doc["t_list"])
+        try:
+            kwargs["t_list"] = tuple(json_float(t) for t in doc["t_list"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"t_list: {exc}") from exc
     if doc.get("out_dir") is not None:
         kwargs["out_dir"] = str(doc["out_dir"])
     try:

@@ -65,9 +65,9 @@ def factor_from_json(obj: Any) -> SeriesParam:
     kind = obj["kind"]
     try:
         if kind == "principal":
-            return SeriesParam.principal(float(obj["nu_im"]))
+            return SeriesParam.principal(json_float(obj["nu_im"]))
         if kind == "complementary":
-            return SeriesParam.complementary(float(obj["nu"]))
+            return SeriesParam.complementary(json_float(obj["nu"]))
         if kind == "discrete":
             return SeriesParam.discrete(json_int(obj["n"]))
     except (KeyError, TypeError, ValueError) as exc:

@@ -5,8 +5,17 @@ a weighted least-squares problem on a padded window.  The truncated
 operator is a full-column-rank banded matrix whose cokernel is exactly the
 span of the restricted invariant functionals, so for inputs annihilated by
 those functionals the truncated system is consistent and the (unique)
-least-squares solution is exact up to rounding.  Obstructed inputs leave a residual bounded below by the dual
-certificate |D(f)| / ||Riesz(D)||, which `obstruction_certificate` reports.
+least-squares solution is exact up to rounding.  Obstructed inputs leave a
+residual bounded below by the dual certificate |D(f)| / ||Riesz(D)||, which
+`obstruction_certificate` reports.
+
+The least-squares problem min ||f̂ - Â x̂|| for the weighted generator
+Â = w_out U / w_in goes through its augmented system [[a I, Â], [Âᴴ, 0]],
+interleaved into a band matrix (`_band_factor`), so the normal equations
+are never formed.  The band LU and the three diagonals of Â, read from the
+one stencil `repn.apply_u_axis_array`, are cached per (parameter, window)
+in O(n) memory; one LAPACK zgbtrs call solves a batch of right-hand sides
+in O(n) per row, and the residual f̂ - Â x̂ is taken directly from the band.
 
 Top degree recurses on the number of factors: split f into f_otimes + f_d,
 solve the two leading-factor problems for the split amplitudes F_plus and
@@ -21,13 +30,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from . import tensor
 from .distributions import Sign, dist_values_array, phi, valid_signs
 from .errors import NoConvergence, NotInKernel
 from .params import IndexWindow, MultiParam, SeriesParam, expand_window
-from .repn import basis_norm_sq_array, u_matrix
+from .repn import apply_u_axis_array, basis_norm_sq_array
 from .tensor import TensorCoeffs, norm0, tensor_sobolev_norm, valid_tags
 
 
@@ -81,32 +90,56 @@ def sigma_schedule(t: float, d: int, s1: float = 3.0, c: float = 0.5) -> float:
 # --- degree-1 least squares ------------------------------------------------
 
 
+# The augmented system [[a I, Â], [Âᴴ, 0]] [r; x̂] = [f̂; 0], with the scaled
+# residual r_i = (f̂ - Â x̂)_i / a of output row i at position 2i and the
+# unknown x̂_j at 2(j + off) + 1, is a band matrix with three sub- and
+# superdiagonals.  x̂ does not depend on a, but its rounding error does: it
+# is u * cond(Â) once a <= sigma_min(Â) (Björck), and sigma_min(Â) is about
+# 0.3/n at nu0.  With a = 1 solutions were up to 70x less accurate (discrete
+# n=1, K=1024) and d=2 primitives' residuals 15x larger than with a dense QR;
+# every a from 1e-2 down to 1e-12 gave the same, better accuracy.
+_ALPHA = 2.0**-20
+_KL = _KU = 3
+_DIAG = _KL + _KU  # row of the main diagonal in LAPACK band storage
+
+
 @dataclass(frozen=True)
 class _Factor:
-    q: np.ndarray
-    r: np.ndarray
-    win_in: IndexWindow
+    lu: np.ndarray     # zgbtrf band LU of the interleaved augmented system
+    piv: np.ndarray
+    wu: np.ndarray     # (3, n): w_out U at (j + off + delta, j), delta = -1, 0, 1
     win_out: IndexWindow
     w_in: np.ndarray
     w_out: np.ndarray
 
 
-@lru_cache(maxsize=6)
-def _qr_factor(param: SeriesParam, lo: int, hi: int) -> _Factor:
+@lru_cache(maxsize=32)
+def _band_factor(param: SeriesParam, lo: int, hi: int) -> _Factor:
     win_in = IndexWindow(lo, hi)
-    a, win_out = u_matrix(param, win_in)
+    n = len(win_in)
+    cols = np.arange(n)
+    # unit vectors three apart: each output of the stencil comes from one column
+    probe = np.zeros((3, n))
+    probe[cols % 3, cols] = 1.0
+    a, win_out = apply_u_axis_array(probe, 1, param, win_in)
+    m, off = len(win_out), lo - win_out.lo
     w_in = np.sqrt(basis_norm_sq_array(param, win_in))
     w_out = np.sqrt(basis_norm_sq_array(param, win_out))
-    a_hat = a * w_out[:, None] / w_in[None, :]
-    q, r = sla.qr(a_hat, mode="economic")
-    return _Factor(q, r, win_in, win_out, w_in, w_out)
-
-
-def _embed_rows(rows: np.ndarray, win_from: IndexWindow, win_to: IndexWindow) -> np.ndarray:
-    out = np.zeros((rows.shape[0], len(win_to)), dtype=np.complex128)
-    off = win_from.lo - win_to.lo
-    out[:, off : off + len(win_from)] = rows
-    return out
+    wu = np.zeros((3, n), dtype=np.complex128)
+    ab = np.zeros((2 * _KL + _KU + 1, 2 * m - 1), dtype=np.complex128)
+    ab[_DIAG, ::2] = _ALPHA
+    ab[_DIAG, 1 : 2 * off : 2] = 1.0  # the odd slot left over below x̂_0
+    for delta in (-1, 0, 1):
+        j = cols[max(0, -(off + delta)) :]  # columns whose output row exists
+        rows = j + off + delta
+        wu[delta + 1, j] = w_out[rows] * a[j % 3, rows]
+        a_hat = wu[delta + 1, j] / w_in[j]
+        ab[_DIAG + 2 * delta - 1, 2 * (j + off) + 1] = a_hat
+        ab[_DIAG + 1 - 2 * delta, 2 * rows] = np.conj(a_hat)
+    lu, piv, info = lapack.zgbtrf(ab, _KL, _KU, overwrite_ab=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zgbtrf failed with info={info}")
+    return _Factor(lu, piv, wu, win_out, w_in, w_out)
 
 
 def _lstsq_rows(
@@ -117,15 +150,28 @@ def _lstsq_rows(
     rhs has shape (batch, len(win_rhs)); returns (solutions on win_in,
     per-row residual in the ||.||_0 metric over the full output window).
     """
-    fac = _qr_factor(param, win_in.lo, win_in.hi)
+    fac = _band_factor(param, win_in.lo, win_in.hi)
     if not fac.win_out.contains_window(win_rhs):
         raise ValueError("rhs window exceeds the solve's output window")
-    f_hat = _embed_rows(rhs, win_rhs, fac.win_out) * fac.w_out[None, :]
-    y = f_hat @ np.conj(fac.q)            # (batch, n_in) = (Q^H f)^T
-    x_hat = sla.solve_triangular(fac.r, y.T, lower=False).T
-    resid = f_hat - y @ fac.q.T
-    resid_norm = np.linalg.norm(resid, axis=1)
-    return x_hat / fac.w_in[None, :], resid_norm
+    o = win_rhs.lo - fac.win_out.lo
+    f_hat = rhs * fac.w_out[o : o + len(win_rhs)]
+    # rows of b are right-hand sides, so b.T is the column-major (N, batch) zgbtrs wants
+    b = np.zeros((rhs.shape[0], fac.lu.shape[1]), dtype=np.complex128)
+    b[:, 2 * o : 2 * (o + len(win_rhs)) : 2] = f_hat
+    x, _ = lapack.zgbtrs(fac.lu, _KL, _KU, b.T, fac.piv, overwrite_b=1)
+    off = win_in.lo - fac.win_out.lo
+    sol = x.T[:, 2 * off + 1 :: 2] / fac.w_in
+    # residual Â x̂ - f̂ = w_out U g - f̂ from the band, one column ahead so
+    # that every slice starts at >= 0
+    n = len(win_in)
+    resid = np.zeros((rhs.shape[0], len(fac.win_out) + 1), dtype=np.complex128)
+    term = np.empty_like(sol)
+    for delta in (-1, 0, 1):
+        start = off + delta + 1
+        resid[:, start : start + n] += np.multiply(fac.wu[delta + 1], sol, out=term)
+    resid[:, o + 1 : o + 1 + len(win_rhs)] -= f_hat
+    parts = resid.view(np.float64)  # row norms without a complex temporary
+    return sol, np.sqrt(np.einsum("ij,ij->i", parts, parts))
 
 
 def _solve_rows_refined(

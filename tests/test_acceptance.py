@@ -5,6 +5,7 @@ per-criterion timings.  Tolerances are pinned here and nowhere else.
 """
 
 import time
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -119,7 +120,7 @@ def test_criterion_04_degree1_round_trip():
     worst = 0.0
     for p in acceptance_grid():
         win = default_window(p, 256)
-        rng = np.random.default_rng(np.random.SeedSequence([4, hash(p.label()) % 2**32]))
+        rng = np.random.default_rng(np.random.SeedSequence([4, zlib.crc32(p.label().encode())]))
         for _ in range(20):
             f, _ = random_coboundary_vector(p, win, rng)
             _, rep = pc.solve_top(f, opts)

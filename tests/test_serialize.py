@@ -9,6 +9,7 @@ from paracoh import ConfigError, MultiParam, SchemaError, SeriesParam, default_w
 from paracoh.config import config_from_json, config_to_json, default_config
 from paracoh.generate import random_closed_form, random_tensor
 from paracoh.serialize import (
+    factor_from_json,
     form_from_json,
     form_to_json,
     load_form,
@@ -142,6 +143,19 @@ def test_config_ints_not_coerced(bad):
         with pytest.raises(ConfigError):
             config_from_json({**doc, key: bad})
     assert config_from_json({**doc, "k_per_axis": 40.0}).k_per_axis == 40
+
+
+def test_real_fields_not_coerced():
+    # float() would read each of these as a valid value
+    with pytest.raises(SchemaError):
+        factor_from_json({"kind": "principal", "nu_im": "2.0"})
+    doc = config_to_json(default_config())
+    for bad in ({"eps0": True}, {"t_list": ["1", True]}):
+        with pytest.raises(ConfigError):
+            config_from_json({**doc, **bad})
+    assert factor_from_json({"kind": "principal", "nu_im": 2}) == SeriesParam.principal(2.0)
+    cfg = config_from_json({**doc, "eps0": 0.04, "t_list": [1, 2.5]})
+    assert (cfg.eps0, cfg.t_list) == (0.04, (1.0, 2.5))
 
 
 def test_schema_ints_not_coerced(rng):
