@@ -21,6 +21,8 @@ twins, and `casimir_mu` is an alias of `SeriesParam.mu`.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from .params import IndexWindow, Kind, SeriesParam, check_window, expand_window
@@ -82,7 +84,8 @@ def apply_u_axis_array(
 ) -> tuple[np.ndarray, IndexWindow]:
     """Generator action along one axis of a dense array; window grows by one."""
     out_win = expand_window(param, window, 1)
-    moved = np.moveaxis(arr, axis, -1)
+    last = axis % arr.ndim == arr.ndim - 1
+    moved = arr if last else np.moveaxis(arr, axis, -1)
     out_shape = moved.shape[:-1] + (len(out_win),)
     out = np.zeros(out_shape, dtype=np.complex128)
     ks = window.indices()
@@ -95,7 +98,7 @@ def apply_u_axis_array(
     # subdiagonal source: (i/2) c-(j) f(j) lands at k = j-1
     cut = out_win.lo - (window.lo - 1)  # 1 when clipped at the lowest weight
     out[..., off - 1 + cut : off - 1 + n] += (0.5j * c_minus(param, ks) * moved)[..., cut:]
-    return np.moveaxis(out, -1, axis), out_win
+    return (out if last else np.moveaxis(out, -1, axis)), out_win
 
 
 def u_matrix(param: SeriesParam, window: IndexWindow) -> tuple[np.ndarray, IndexWindow]:
@@ -106,21 +109,21 @@ def u_matrix(param: SeriesParam, window: IndexWindow) -> tuple[np.ndarray, Index
     return np.ascontiguousarray(a), out_win
 
 
+def basis_norm_sq_grid(
+    factors: tuple[SeriesParam, ...], windows: tuple[IndexWindow, ...]
+) -> np.ndarray:
+    """Product of the squared basis norms ||u(k_j)||^2 over the windows."""
+    return reduce(np.multiply.outer, map(basis_norm_sq_array, factors, windows))
+
+
 def weight_grids(
     factors: tuple[SeriesParam, ...], windows: tuple[IndexWindow, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """(1 + sum mu + 2|k|^2) grid and the product of squared basis norms."""
-    d = len(factors)
     base = 1.0 + float(sum(p.mu for p in factors))
-    q = np.zeros(tuple(len(w) for w in windows))
-    w2 = np.ones(tuple(len(w) for w in windows))
-    for j, (p, w) in enumerate(zip(factors, windows)):
-        shape = [1] * d
-        shape[j] = len(w)
-        ks = w.indices().astype(np.float64)
-        q = q + (2.0 * ks * ks).reshape(shape)
-        w2 = w2 * basis_norm_sq_array(p, w).reshape(shape)
-    return base + q, w2
+    ks = [w.indices().astype(np.float64) for w in windows]
+    q = reduce(np.add.outer, [2.0 * k * k for k in ks])
+    return base + q, basis_norm_sq_grid(factors, windows)
 
 
 def sobolev_norm_array(
@@ -130,8 +133,8 @@ def sobolev_norm_array(
     t: float,
 ) -> float:
     """sqrt of sum (1 + sum mu_j + 2|k|^2)^t |f(k)|^2 prod ||u(k_j)||^2."""
-    qgrid, w2 = weight_grids(factors, windows)
     mag2 = np.abs(coeffs) ** 2
     if t == 0.0:
-        return float(np.sqrt(np.sum(mag2 * w2)))
+        return float(np.sqrt(np.sum(mag2 * basis_norm_sq_grid(factors, windows))))
+    qgrid, w2 = weight_grids(factors, windows)
     return float(np.sqrt(np.sum(qgrid**t * mag2 * w2)))

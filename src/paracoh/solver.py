@@ -22,12 +22,14 @@ solve the two leading-factor problems for the split amplitudes F_plus and
 F_minus once each, solve the last-factor equation slice by slice for f_d,
 and assemble.  Padded windows keep minimal-norm freedom; refinement doubles
 the padding and accepts once the solution stabilizes on the original window.
+Each g_i comes from one solve, so it is padded on axis i only and keeps f's
+windows elsewhere; it is returned and verified on those windows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import lapack
@@ -296,31 +298,23 @@ def _solve_top_rec(
     lead_windows = windows[:-1]
     refs_worst = 0
 
-    # leading-factor problems, one per split amplitude
-    partials: dict[Sign, list[tuple[np.ndarray, tuple[IndexWindow, ...]]] | None] = {}
+    # leading-factor problems, one per nonzero split amplitude
+    partials: dict[Sign, list[tuple[np.ndarray, tuple[IndexWindow, ...]]]] = {}
     for s in (Sign.PLUS, Sign.MINUS):
         amp = parts.amplitudes[s]
-        if norm0(amp) == 0.0:
-            partials[s] = None
-            continue
-        sols, refs = _solve_top_rec(lead_params, amp.windows, amp.coeffs, opts, scale)
-        partials[s] = sols
-        refs_worst = max(refs_worst, refs)
+        if norm0(amp) > 0.0:
+            partials[s], refs = _solve_top_rec(lead_params, amp.windows, amp.coeffs, opts, scale)
+            refs_worst = max(refs_worst, refs)
 
     out: list[tuple[np.ndarray, tuple[IndexWindow, ...]]] = []
     for i in range(d - 1):
-        # g_i = sum_s G_s,i (x) phi_s, summed PLUS then MINUS on the hull
-        terms = []
-        for s in (Sign.PLUS, Sign.MINUS):
-            if partials[s] is not None:
-                gi, gi_wins = partials[s][i]
-                terms.append((gi[..., None] * phi(p_last, s, w_last), gi_wins + (w_last,)))
-        if not terms:
-            shape = tuple(len(w) for w in lead_windows) + (len(w_last),)
-            terms = [(np.zeros(shape, np.complex128), lead_windows + (w_last,))]
-        wins = tensor.hull(*(w for _, w in terms))
-        arrays = [tensor.embed_array(term, w, wins) for term, w in terms]
-        out.append((reduce(np.add, arrays), wins))
+        # g_i = sum_s G_s,i (x) phi_s, added PLUS then MINUS in place on the hull
+        wins = tensor.hull(lead_windows, *(sols[i][1] for sols in partials.values()))
+        gi = np.zeros(tuple(len(w) for w in wins) + (len(w_last),), dtype=np.complex128)
+        for s, sols in partials.items():
+            arr, arr_wins = sols[i]
+            gi[tensor.sub_slices(arr_wins, wins)] += arr[..., None] * phi(p_last, s, w_last)
+        out.append((gi, wins + (w_last,)))
 
     # last-factor problem, slice by slice over the leading indices
     lead_shape = tuple(len(w) for w in lead_windows)
@@ -337,16 +331,15 @@ def solve_top(
 ) -> tuple[list[TensorCoeffs], SolveReport]:
     """Solve U_1 g_1 + ... + U_d g_d = f for f in the joint kernel.
 
-    Returns d tensors on common padded windows plus diagnostics.  Raises
+    Returns d tensors plus diagnostics.  g_i keeps the windows its solve
+    produced: f's windows on every axis but i, padded on axis i.  Raises
     NotInKernel if some product functional does not vanish on f, and
     NoConvergence if the residual survives refinement.
     """
     fn0 = norm0(f)
-    worst_tag, worst = None, 0.0
-    for tag in valid_tags(f.params):
-        val = abs(tensor.product_dist_evaluate(f, tag))
-        if val > worst:
-            worst_tag, worst = tag, val
+    defects = tensor.kernel_defects(f)
+    worst_tag = max(defects, key=defects.get)
+    worst = defects[worst_tag]
     if worst > opts.tol_kernel * fn0:
         raise NotInKernel(
             f"product functional {''.join(s.value for s in worst_tag)} gives "
@@ -358,14 +351,9 @@ def solve_top(
         zero = [tensor.zeros(f.params, f.windows) for _ in range(f.d)]
         return zero, SolveReport(0.0, 0.0, 0.0, {t: 0.0 for t in opts.t_list}, 0)
     raw, refs = _solve_top_rec(f.params, f.windows, f.coeffs, opts, fn0)
-    unified = tensor.hull(*(wins for _, wins in raw))
-    g_list = [
-        TensorCoeffs(f.params, unified, tensor.embed_array(arr, wins, unified))
-        for arr, wins in raw
-    ]
+    g_list = [TensorCoeffs(f.params, wins, arr) for arr, wins in raw]
     report = verify_solution(f, g_list, opts.t_list)
     report.refinements_used = refs
-    report.kernel_defect = worst
     if report.residual_interior > opts.tol_residual * fn0:
         raise NoConvergence(
             f"top-degree residual {report.residual_interior:.3e} above "
@@ -382,26 +370,28 @@ def verify_solution(
     """Residual of sum_i U_i g_i - f at t=0, kernel defect of f, and the
     ratios ||g_i||_t / ||f||_{sigma_d(t)}.
 
-    The residual is taken over the full padded output windows; truncated
+    Each g_i is used on its own windows.  -f, U_0 g_0, ..., U_{d-1} g_{d-1}
+    are added in that order into one array on the hull of their windows,
+    and the residual is taken over that whole hull; truncated
     kernel-consistent systems are exactly solvable, so no edge region is
     excluded.
     """
     if len(g_list) != f.d:
         raise ValueError(f"expected {f.d} primitives, got {len(g_list)}")
-    resid = TensorCoeffs(f.params, f.windows, -f.coeffs)
-    for i, g in enumerate(g_list):
-        resid = tensor.add(resid, tensor.apply_U_factor(g, i))
+    terms = [tensor.apply_U_factor(g, i) for i, g in enumerate(g_list)]
+    wins = tensor.hull(f.windows, *(u.windows for u in terms))
+    resid = np.zeros(tuple(len(w) for w in wins), dtype=np.complex128)
+    resid[tensor.sub_slices(f.windows, wins)] -= f.coeffs
+    for u in terms:
+        resid[tensor.sub_slices(u.windows, wins)] += u.coeffs
     fn0 = norm0(f)
-    kernel_defect = max(
-        (abs(tensor.product_dist_evaluate(f, tag)) for tag in valid_tags(f.params)),
-        default=0.0,
-    )
+    kernel_defect = max(tensor.kernel_defects(f).values(), default=0.0)
     ratios = {}
     for t in t_list:
         denom = tensor_sobolev_norm(f, sigma_schedule(t, f.d))
         num = max((tensor_sobolev_norm(g, t) for g in g_list), default=0.0)
         ratios[t] = num / denom if denom > 0 else 0.0
-    return SolveReport(norm0(resid), fn0, kernel_defect, ratios, 0)
+    return SolveReport(norm0(TensorCoeffs(f.params, wins, resid)), fn0, kernel_defect, ratios, 0)
 
 
 # --- obstruction probes ------------------------------------------------------

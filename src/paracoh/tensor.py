@@ -112,6 +112,13 @@ def hull(*window_tuples: tuple[IndexWindow, ...]) -> tuple[IndexWindow, ...]:
     )
 
 
+def sub_slices(
+    windows: tuple[IndexWindow, ...], outer: tuple[IndexWindow, ...]
+) -> tuple[slice, ...]:
+    """Index of the block `windows` inside an array on `outer` (which covers it)."""
+    return tuple(slice(w.lo - o.lo, w.hi - o.lo + 1) for w, o in zip(windows, outer))
+
+
 def add(a: TensorCoeffs, b: TensorCoeffs, scale: complex = 1.0) -> TensorCoeffs:
     """a + scale*b on the union windows."""
     if a.params != b.params:
@@ -137,9 +144,9 @@ def inner_product(f: TensorCoeffs, g: TensorCoeffs) -> complex:
     if any(max(a.lo, b.lo) > min(a.hi, b.hi) for a, b in zip(f.windows, g.windows)):
         return 0.0 + 0.0j
     common = tuple(a.intersect(b) for a, b in zip(f.windows, g.windows))
-    fs = f.coeffs[tuple(slice(c.lo - w.lo, c.hi - w.lo + 1) for c, w in zip(common, f.windows))]
-    gs = g.coeffs[tuple(slice(c.lo - w.lo, c.hi - w.lo + 1) for c, w in zip(common, g.windows))]
-    _, w2 = repn.weight_grids(f.params.factors, common)
+    fs = f.coeffs[sub_slices(common, f.windows)]
+    gs = g.coeffs[sub_slices(common, g.windows)]
+    w2 = repn.basis_norm_sq_grid(f.params.factors, common)
     return complex(np.sum(fs * np.conj(gs) * w2))
 
 

@@ -31,7 +31,7 @@ from paracoh import (
 )
 from paracoh.params import Kind
 from paracoh.rational import u_action_exact
-from paracoh.repn import basis_norm_sq_array, u_matrix
+from paracoh.repn import basis_norm_sq_array, sobolev_norm_array, u_matrix, weight_grids
 from paracoh.tensor import zeros
 
 
@@ -249,3 +249,39 @@ def test_basis_norm_array_matches_loop(grid):
         assert basis_norm_sq_array(p, win).tolist() == [
             _norm_sq_loop(p, int(k)) for k in win.indices()
         ]
+
+
+def _weight_grids_loop(factors, windows):
+    """The full-size broadcasting loop `weight_grids` replaced, kept as the reference."""
+    d = len(factors)
+    base = 1.0 + float(sum(p.mu for p in factors))
+    q = np.zeros(tuple(len(w) for w in windows))
+    w2 = np.ones(tuple(len(w) for w in windows))
+    for j, (p, w) in enumerate(zip(factors, windows)):
+        shape = [1] * d
+        shape[j] = len(w)
+        ks = w.indices().astype(np.float64)
+        q = q + (2.0 * ks * ks).reshape(shape)
+        w2 = w2 * basis_norm_sq_array(p, w).reshape(shape)
+    return base + q, w2
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_weight_grids_match_broadcast_loop(d, rng):
+    # the outer-product chains add and multiply the same factors in the same
+    # order as the loop, so grids and norms agree bitwise
+    kinds = (SeriesParam.principal(1.5), SeriesParam.complementary(0.7), SeriesParam.discrete(2))
+    for start in range(3):
+        factors = tuple(kinds[(start + j) % 3] for j in range(d))
+        windows = tuple(default_window(p, 6) for p in factors)
+        got, ref = weight_grids(factors, windows), _weight_grids_loop(factors, windows)
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        coeffs = rng.normal(size=ref[0].shape) + 1j * rng.normal(size=ref[0].shape)
+        mag2 = np.abs(coeffs) ** 2
+        assert sobolev_norm_array(factors, windows, coeffs, 0.0) == float(
+            np.sqrt(np.sum(mag2 * ref[1]))
+        )
+        assert sobolev_norm_array(factors, windows, coeffs, 1.5) == float(
+            np.sqrt(np.sum(ref[0] ** 1.5 * mag2 * ref[1]))
+        )

@@ -204,6 +204,39 @@ def test_solve_top_round_trip_d3(rng):
     assert rep2.residual_interior <= 1e-6 * rep2.f_norm0
 
 
+@pytest.mark.parametrize(
+    "factors",
+    [
+        (SeriesParam.complementary(0.9), SeriesParam.discrete(1)),
+        (SeriesParam.principal(1.0), SeriesParam.complementary(0.5), SeriesParam.discrete(2)),
+        (
+            SeriesParam.principal(1.0),
+            SeriesParam.complementary(0.9),
+            SeriesParam.discrete(1),
+            SeriesParam.principal(3.0),
+        ),
+    ],
+    ids=lambda f: f"d{len(f)}",
+)
+def test_solve_top_keeps_solver_windows(factors, rng):
+    mp = MultiParam(factors)
+    wins = tuple(default_window(p, 4) for p in mp.factors)
+    f = random_kernel_tensor(mp, wins, rng)
+    g_list, rep = solve_top(f)
+    for i, g in enumerate(g_list):
+        assert g.windows[:i] + g.windows[i + 1 :] == f.windows[:i] + f.windows[i + 1 :]
+        assert g.windows[i].contains_window(f.windows[i])
+    # verification on the solver's windows agrees with the common hull
+    common = pc.tensor.hull(*(g.windows for g in g_list))
+    rep_hull = verify_solution(f, [g.embedded(common) for g in g_list])
+    rep_own = verify_solution(f, g_list)
+    assert rep_own.residual_interior == rep_hull.residual_interior
+    assert rep_own.kernel_defect == rep_hull.kernel_defect
+    for t, ratio in rep_hull.sobolev_ratios.items():
+        assert rep_own.sobolev_ratios[t] == pytest.approx(ratio, rel=1e-14, abs=0.0)
+    assert rep.residual_interior == rep_own.residual_interior
+
+
 def test_solve_top_obstruction():
     mp = MultiParam((SeriesParam.complementary(0.9), SeriesParam.complementary(0.9)))
     wins = tuple(default_window(p, 32) for p in mp.factors)
@@ -416,3 +449,25 @@ def test_degree1_memory_is_linear_in_k(rng):
         tracemalloc.stop()
     assert rep.residual_interior <= 1e-8 * rep.f_norm0
     assert peak < 16 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
+
+
+def test_top_degree_memory_stays_on_solver_windows(rng):
+    # d=4, K=8: each g_i on the all-axes padded hull would hold 2.9M entries
+    # (49^3 * 25) instead of ~130k, and verification peaked near 400 MB
+    mp = MultiParam(
+        (
+            SeriesParam.principal(1.0),
+            SeriesParam.complementary(0.9),
+            SeriesParam.discrete(1),
+            SeriesParam.principal(3.0),
+        )
+    )
+    f = random_kernel_tensor(mp, tuple(default_window(p, 8) for p in mp.factors), rng)
+    tracemalloc.start()
+    try:
+        _, rep = solve_top(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.residual_interior <= 1e-8 * rep.f_norm0
+    assert peak < 256 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
