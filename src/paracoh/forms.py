@@ -9,11 +9,15 @@ records which generators the form eats.  The exterior derivative is
 and d o d = 0 because the per-axis actions commute.
 
 Primitives of closed forms are found by the axis-0 slicing recursion: solve
-the sub-problem on each axis-0 slice (top-degree solve when the degree fills
+the sub-problem on the axis-0 slices (top-degree solve when the degree fills
 the remaining axes), form the invariant remainder theta for the components
-containing axis 0, recurse on theta, and assemble.  For degree 1 the
-remainder is a joint-invariant 0-form which must vanish; a marginal defect
-falls back to one joint least-squares solve over all axes.
+containing axis 0, recurse on the slices of theta, and assemble.  The
+recursion carries a leading batch axis on every component array: all axis-0
+slices of all forms in the batch go to one recursive call, so the number of
+least-squares calls does not grow with the window.  For degree 1 the
+remainder is a joint-invariant 0-form which must vanish; each form is gated
+by its own ||theta||_0, and a marginal defect sends that form alone to one
+joint least-squares solve over all axes.
 """
 
 from __future__ import annotations
@@ -184,17 +188,6 @@ def varsigma_schedule(
 # --- the primitive recursion --------------------------------------------------
 
 
-def _slice_comps(
-    comps: dict[Axes, np.ndarray], lo: int, k: int, relabel: bool
-) -> dict[Axes, np.ndarray]:
-    """Slice every component at axis0 = k; optionally shift axis labels down."""
-    out = {}
-    for axes, arr in comps.items():
-        key = tuple(a - 1 for a in axes) if relabel else axes
-        out[key] = np.take(arr, k - lo, axis=0)
-    return out
-
-
 def _top_degree_slice(
     sub_params: MultiParam,
     sub_windows: tuple[IndexWindow, ...],
@@ -202,8 +195,8 @@ def _top_degree_slice(
     opts: SolveOptions,
     scale: float,
 ) -> tuple[dict[Axes, np.ndarray], tuple[IndexWindow, ...]]:
-    """Primitive of a top-degree form over the remaining axes, via the
-    coboundary solve; component at (all axes except p) gets sign (-1)^p."""
+    """Primitives of a batch of top-degree forms over the remaining axes, via
+    the coboundary solve; component at (all axes except p) gets sign (-1)^p."""
     sols, _ = _solve_top_rec(sub_params, sub_windows, f_arr, opts, scale)
     hull = tensor.hull(*(wins for _, wins in sols))
     every = tuple(range(sub_params.d))
@@ -221,28 +214,26 @@ def _primitive_rec(
     opts: SolveOptions,
     scale: float,
 ) -> tuple[dict[Axes, np.ndarray], tuple[IndexWindow, ...]]:
-    """Primitive of a closed degree-n form (1 <= n <= d-1), axes 0-based."""
+    """Primitives of a batch of closed degree-n forms (1 <= n <= d-1), axes
+    0-based; every component array has the batch axis first."""
     d = params.d
+    batch = next(iter(comps.values())).shape[0]
     sub_params = params.drop(0)
     sub_windows = windows[1:]
     w0 = windows[0]
 
-    # eta1: solve the forgotten-axis problem on every axis-0 slice
-    slices = []
-    for k in w0.indices():
-        sub = {
-            tuple(a - 1 for a in axes): np.take(arr, k - w0.lo, axis=0)
-            for axes, arr in comps.items()
-            if 0 not in axes
-        }
-        if n == d - 1:
-            got = _top_degree_slice(
-                sub_params, sub_windows, sub[tuple(range(d - 1))], opts, scale
-            )
-        else:
-            got = _primitive_rec(sub_params, sub_windows, sub, n, opts, scale)
-        slices.append(got)
-    eta1_comps, eta1_sub_windows = _stack_slices(slices, w0)
+    # eta1: the forgotten-axis problem on every axis-0 slice of every form,
+    # one batch item per (form, slice)
+    sub = {
+        tuple(a - 1 for a in axes): _unfold(arr)
+        for axes, arr in comps.items()
+        if 0 not in axes
+    }
+    if n == d - 1:
+        got = _top_degree_slice(sub_params, sub_windows, sub[tuple(range(d - 1))], opts, scale)
+    else:
+        got = _primitive_rec(sub_params, sub_windows, sub, n, opts, scale)
+    eta1_comps, eta1_sub_windows = _stack_slices(got, batch)
     eta1_windows = (w0,) + eta1_sub_windows
 
     # theta: the components containing axis 0, minus U_0 eta1
@@ -251,7 +242,7 @@ def _primitive_rec(
     for axes in itertools.combinations(range(1, d), n - 1):
         om_arr = comps[(0,) + axes]
         e_arr = eta1_comps[tuple(a - 1 for a in axes)]
-        u0, w0x = tensor.apply_u_axis_array(e_arr, 0, params.factors[0], w0)
+        u0, w0x = tensor.apply_u_axis_array(e_arr, 1, params.factors[0], w0)
         u0_wins = (w0x,) + eta1_sub_windows
         hull = tensor.hull(u0_wins, windows)
         theta = tensor.embed_array(om_arr, windows, hull) - tensor.embed_array(
@@ -261,29 +252,36 @@ def _primitive_rec(
         theta_windows = hull
 
     if n == 1:
-        # theta is a 0-form invariant under every remaining generator: it
-        # must vanish; accept, fall back to a joint solve, or fail.
-        theta_norm = tensor_sobolev_norm(
-            TensorCoeffs(params, theta_windows, theta_comps[()]), 0.0
-        )
-        if theta_norm <= opts.tol_residual * scale:
-            return {(): eta1_comps[()]}, eta1_windows
-        if theta_norm <= np.sqrt(opts.tol_residual) * scale:
-            return _joint_degree1_solve(params, windows, comps, opts, eta1_comps[()], eta1_windows)
-        raise ThetaNotVanishing(
-            f"invariant remainder has norm {theta_norm:.3e} "
-            f"(budget {opts.tol_residual * scale:.3e}); input may not be closed"
-        )
+        # theta is a 0-form invariant under every remaining generator: it must
+        # vanish.  Per form, by its own ||theta||_0: accept eta1, fall back to
+        # a joint solve of that form alone, or fail.
+        w2 = repn.basis_norm_sq_grid(params.factors, theta_windows)
+        norms = np.sqrt(np.sum(np.abs(theta_comps[()]) ** 2 * w2, axis=tuple(range(1, d + 1))))
+        accept = norms <= opts.tol_residual * scale
+        fallback = ~accept & (norms <= np.sqrt(opts.tol_residual) * scale)
+        failed = np.flatnonzero(~(accept | fallback))
+        if len(failed):
+            raise ThetaNotVanishing(
+                f"invariant remainder has norm {norms[failed[0]]:.3e} "
+                f"(budget {opts.tol_residual * scale:.3e}); input may not be closed"
+            )
+        eta, wins = eta1_comps[()], eta1_windows
+        for b in np.flatnonzero(fallback):
+            one = {axes: arr[b] for axes, arr in comps.items()}
+            got, joint_wins = _joint_degree1_solve(
+                params, windows, one, opts, eta1_comps[()][b], eta1_windows
+            )
+            # the joint solve's windows cover eta1's, which it starts from
+            eta, wins = tensor.embed_array(eta, wins, joint_wins), joint_wins
+            eta[b] = got[()]
+        return {(): eta}, wins
 
     # zeta: primitives of the theta slices, recursed at degree n-1.  The
     # assembled components containing axis 0 enter d(eta) through -d(zeta_k),
     # so zeta solves for the negated remainder.
-    zslices = []
-    for k in theta_windows[0].indices():
-        sub = _slice_comps(theta_comps, theta_windows[0].lo, k, relabel=True)
-        sub = {axes: -arr for axes, arr in sub.items()}
-        zslices.append(_primitive_rec(sub_params, theta_windows[1:], sub, n - 1, opts, scale))
-    zeta_comps, zeta_sub_windows = _stack_slices(zslices, theta_windows[0])
+    sub = {tuple(a - 1 for a in axes): -_unfold(arr) for axes, arr in theta_comps.items()}
+    got = _primitive_rec(sub_params, theta_windows[1:], sub, n - 1, opts, scale)
+    zeta_comps, zeta_sub_windows = _stack_slices(got, batch)
     zeta_windows = (theta_windows[0],) + zeta_sub_windows
 
     # assemble: tuples with axis 0 take zeta slices, the rest take eta1 (n >= 2
@@ -299,21 +297,17 @@ def _primitive_rec(
     return out, hull
 
 
+def _unfold(arr: np.ndarray) -> np.ndarray:
+    """Batch items and their axis-0 slices as one batch axis."""
+    return arr.reshape((-1,) + arr.shape[2:])
+
+
 def _stack_slices(
-    slices: list[tuple[dict[Axes, np.ndarray], tuple[IndexWindow, ...]]],
-    w0: IndexWindow,
+    got: tuple[dict[Axes, np.ndarray], tuple[IndexWindow, ...]], batch: int
 ) -> tuple[dict[Axes, np.ndarray], tuple[IndexWindow, ...]]:
-    """Merge per-slice solutions into full components with axis 0 restored."""
-    hull = tensor.hull(*(wins for _, wins in slices))
-    keys = list(slices[0][0].keys())
-    out = {}
-    for key in keys:
-        stacked = np.stack(
-            [tensor.embed_array(comps[key], wins, hull) for comps, wins in slices],
-            axis=0,
-        )
-        out[key] = stacked
-    return out, hull
+    """Fold a batch of axis-0 slices back into axis 0 of `batch` items."""
+    comps, wins = got
+    return {key: arr.reshape((batch, -1) + arr.shape[1:]) for key, arr in comps.items()}, wins
 
 
 def _axis_operator_sparse(
@@ -344,9 +338,11 @@ def _joint_degree1_solve(
     init: np.ndarray,
     init_windows: tuple[IndexWindow, ...],
 ) -> tuple[dict[Axes, np.ndarray], tuple[IndexWindow, ...]]:
-    """Stacked least squares for U_j eta = w((j,)), all axes at once."""
+    """Stacked least squares for U_j eta = w((j,)), all axes at once, on the
+    padded windows widened to cover the starting point's."""
     d = params.d
-    g_windows = tuple(expand_window(p, w, opts.pad) for p, w in zip(params.factors, windows))
+    padded = tuple(expand_window(p, w, opts.pad) for p, w in zip(params.factors, windows))
+    g_windows = tensor.hull(padded, init_windows)
     blocks = []
     rhs_parts = []
     col_scale = None
@@ -394,8 +390,9 @@ def solve_primitive(
     if wn0 == 0.0:
         eta = zero_form(w.params, w.windows, n - 1)
         return eta, SolveReport(0.0, 0.0, defect, {t: 0.0 for t in opts.t_list}, 0)
-    comps, hull = _primitive_rec(w.params, w.windows, dict(w.components), n, opts, wn0)
-    eta = LeafwiseForm(n - 1, w.params, hull, comps)
+    batch = {axes: arr[None] for axes, arr in w.components.items()}
+    comps, hull = _primitive_rec(w.params, w.windows, batch, n, opts, wn0)
+    eta = LeafwiseForm(n - 1, w.params, hull, {axes: arr[0] for axes, arr in comps.items()})
     resid_form = _form_difference(exterior_derivative(eta), w)
     residual = form_norm0(resid_form)
     if residual > opts.tol_residual * wn0:

@@ -84,21 +84,27 @@ def apply_u_axis_array(
 ) -> tuple[np.ndarray, IndexWindow]:
     """Generator action along one axis of a dense array; window grows by one."""
     out_win = expand_window(param, window, 1)
-    last = axis % arr.ndim == arr.ndim - 1
-    moved = arr if last else np.moveaxis(arr, axis, -1)
-    out_shape = moved.shape[:-1] + (len(out_win),)
-    out = np.zeros(out_shape, dtype=np.complex128)
+    axis %= arr.ndim
+    shape = list(arr.shape)
+    shape[axis] = len(out_win)
+    out = np.zeros(shape, dtype=np.complex128)
     ks = window.indices()
     off = window.lo - out_win.lo
     n = len(window)
+    col = (n,) + (1,) * (arr.ndim - axis - 1)  # coefficients broadcast along `axis`
+
+    def at(lo, hi=None):
+        return (slice(None),) * axis + (slice(lo, hi),)
+
     # diagonal: i k f(k)
-    out[..., off : off + n] += 1j * ks * moved
+    out[at(off, off + n)] += (1j * ks).reshape(col) * arr
     # superdiagonal source: -(i/2) c+(j) f(j) lands at k = j+1
-    out[..., off + 1 : off + n + 1] += -0.5j * c_plus(param, ks) * moved
+    out[at(off + 1, off + n + 1)] += (-0.5j * c_plus(param, ks)).reshape(col) * arr
     # subdiagonal source: (i/2) c-(j) f(j) lands at k = j-1
     cut = out_win.lo - (window.lo - 1)  # 1 when clipped at the lowest weight
-    out[..., off - 1 + cut : off - 1 + n] += (0.5j * c_minus(param, ks) * moved)[..., cut:]
-    return (out if last else np.moveaxis(out, -1, axis)), out_win
+    lower = (0.5j * c_minus(param, ks)).reshape(col)
+    out[at(off - 1 + cut, off - 1 + n)] += lower[cut:] * arr[at(cut)]
+    return out, out_win
 
 
 def u_matrix(param: SeriesParam, window: IndexWindow) -> tuple[np.ndarray, IndexWindow]:

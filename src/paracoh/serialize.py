@@ -12,13 +12,15 @@ One document per object.  Tensors:
 Coefficients are sparse (nonzero entries only, sorted by index tuple) and
 round-trip bit-exactly.  Forms add "degree" and per-component documents
 under "components", with 1-based "axes".  Loads validate kinds, windows,
-index membership, finiteness, and the format version.
+index membership, finiteness, and the format version; the entries are
+checked and scattered as whole arrays.  Tensor and form files are written
+compact, by json's C encoder; reports keep indent=1.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-import math
 import os
 from typing import Any
 
@@ -83,41 +85,60 @@ def window_from_json(obj: Any) -> IndexWindow:
 
 
 def _coeffs_to_json(arr: np.ndarray, windows: tuple[IndexWindow, ...]) -> list[dict]:
-    entries = []
-    for idx in np.argwhere(arr != 0):
-        k = [int(i + w.lo) for i, w in zip(idx, windows)]
-        val = arr[tuple(idx)]
-        entries.append({"k": k, "re": float(val.real), "im": float(val.imag)})
-    entries.sort(key=lambda e: tuple(e["k"]))
-    return entries
+    idx = np.nonzero(arr)  # C order: sorted by index tuple
+    ks = np.stack([i + w.lo for i, w in zip(idx, windows)], axis=1).tolist()
+    vals = arr[idx]
+    return [
+        {"k": k, "re": re, "im": im}
+        for k, re, im in zip(ks, vals.real.tolist(), vals.imag.tolist())
+    ]
 
 
 def _coeffs_from_json(
     entries: Any, windows: tuple[IndexWindow, ...]
 ) -> np.ndarray:
-    arr = np.zeros(tuple(len(w) for w in windows), dtype=np.complex128)
-    seen = set()
+    """Dense coefficients from the sparse entries, validated as whole arrays."""
+    shape = tuple(len(w) for w in windows)
+    arr = np.zeros(shape, dtype=np.complex128)
     if not isinstance(entries, list):
         raise SchemaError("coeffs must be a list")
-    for e in entries:
-        try:
-            k = tuple(json_int(x) for x in e["k"])
-            re, im = json_float(e["re"]), json_float(e["im"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad coefficient entry {e!r}: {exc}") from exc
-        if len(k) != len(windows):
-            raise SchemaError(f"index {k} has wrong rank")
-        if k in seen:
-            raise SchemaError(f"duplicate index {k}")
-        seen.add(k)
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise SchemaError(f"non-finite coefficient at {k}")
-        pos = []
-        for x, w in zip(k, windows):
-            if x not in w:
-                raise SchemaError(f"index {k} outside window [{w.lo}, {w.hi}]")
-            pos.append(x - w.lo)
-        arr[tuple(pos)] = complex(re, im)
+    if not entries:
+        return arr
+    try:
+        ks = [e["k"] for e in entries]
+        re = [e["re"] for e in entries]
+        im = [e["im"] for e in entries]
+    except (KeyError, TypeError) as exc:
+        raise SchemaError(f"bad coefficient entry: {exc!r}") from exc
+    if set(map(type, ks)) != {list} or set(map(len, ks)) != {len(windows)}:
+        raise SchemaError(f"every index must be a list of {len(windows)} integers")
+    flat = list(itertools.chain.from_iterable(ks))
+    numbers = {int, float}  # type(), not isinstance: bools and strings are rejected
+    if not set(map(type, flat)) <= numbers:
+        raise SchemaError("indices must be integers")
+    if not (set(map(type, re)) | set(map(type, im))) <= numbers:
+        raise SchemaError("coefficient values must be numbers")
+    try:
+        kf = np.array(flat, dtype=np.float64).reshape(len(ks), len(windows))
+        vals = np.empty(len(entries), dtype=np.complex128)
+        vals.real = re
+        vals.imag = im
+    except OverflowError as exc:
+        raise SchemaError(f"number out of range: {exc}") from exc
+    if not np.all(kf == np.trunc(kf)):  # also false for inf and nan
+        raise SchemaError("indices must be integers")
+    if not np.all(np.isfinite(vals)):
+        raise SchemaError("non-finite coefficient value")
+    lo = np.array([w.lo for w in windows], dtype=np.float64)
+    hi = np.array([w.hi for w in windows], dtype=np.float64)
+    outside = np.flatnonzero(np.any((kf < lo) | (kf > hi), axis=1))
+    if len(outside):
+        bounds = [[w.lo, w.hi] for w in windows]
+        raise SchemaError(f"index {ks[outside[0]]} outside windows {bounds}")
+    pos = tuple((kf - lo).astype(np.intp).T)
+    if np.unique(np.ravel_multi_index(pos, shape)).size != len(entries):
+        raise SchemaError("duplicate coefficient index")
+    arr[pos] = vals
     return arr
 
 
@@ -194,9 +215,11 @@ def form_from_json(doc: Any, eps0: float = 0.05, nu0: float = 0.95) -> LeafwiseF
         raise SchemaError(str(exc)) from exc
 
 
-def save_json(path: str | os.PathLike, doc: dict) -> None:
+def save_json(path: str | os.PathLike, doc: dict, indent: int | None = 1) -> None:
+    """Write one document; indent=None gives compact text from the C encoder,
+    which json.dump never uses."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
+        fh.write(json.dumps(doc, indent=indent))
         fh.write("\n")
 
 
@@ -209,7 +232,7 @@ def load_json(path: str | os.PathLike) -> Any:
 
 
 def save_tensor(path: str | os.PathLike, f: TensorCoeffs) -> None:
-    save_json(path, tensor_to_json(f))
+    save_json(path, tensor_to_json(f), indent=None)
 
 
 def load_tensor(path: str | os.PathLike, eps0: float = 0.05, nu0: float = 0.95) -> TensorCoeffs:
@@ -217,7 +240,7 @@ def load_tensor(path: str | os.PathLike, eps0: float = 0.05, nu0: float = 0.95) 
 
 
 def save_form(path: str | os.PathLike, w: LeafwiseForm) -> None:
-    save_json(path, form_to_json(w))
+    save_json(path, form_to_json(w), indent=None)
 
 
 def load_form(path: str | os.PathLike, eps0: float = 0.05, nu0: float = 0.95) -> LeafwiseForm:

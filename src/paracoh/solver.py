@@ -18,12 +18,19 @@ in O(n) memory; one LAPACK zgbtrs call solves a batch of right-hand sides
 in O(n) per row, and the residual f̂ - Â x̂ is taken directly from the band.
 
 Top degree recurses on the number of factors: split f into f_otimes + f_d,
-solve the two leading-factor problems for the split amplitudes F_plus and
-F_minus once each, solve the last-factor equation slice by slice for f_d,
-and assemble.  Padded windows keep minimal-norm freedom; refinement doubles
-the padding and accepts once the solution stabilizes on the original window.
-Each g_i comes from one solve, so it is padded on axis i only and keeps f's
-windows elsewhere; it is returned and verified on those windows.
+solve the leading-factor problems for the split amplitudes F_plus and
+F_minus, solve the last-factor equation row by row for f_d, and assemble.
+The recursion carries a leading batch axis: F_plus and F_minus of every
+item go down as one batch, so each level makes one least-squares call per
+refinement attempt whatever the batch size (`forms` puts every axis-0 slice
+of a form in one batch).  Padded windows keep minimal-norm freedom;
+refinement doubles the padding and accepts once the solution stabilizes on
+the original window.  Acceptance is per group, the rows of one item's
+last-factor problem or of one amplitude, so an item gets the windows and the
+refinement count it gets when solved alone; results come back on the widest
+window, zero outside an earlier group's own.  Each g_i comes from one solve,
+so it is padded on axis i only and keeps f's windows elsewhere; it is
+returned and verified on those windows.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from . import tensor
 from .distributions import Sign, dist_values_array, phi, valid_signs
 from .errors import NoConvergence, NotInKernel
 from .params import IndexWindow, MultiParam, SeriesParam, expand_window
-from .repn import apply_u_axis_array, basis_norm_sq_array
+from .repn import apply_u_axis_array, basis_norm_sq_array, basis_norm_sq_grid
 from .tensor import TensorCoeffs, norm0, tensor_sobolev_norm, valid_tags
 
 
@@ -127,6 +134,11 @@ def _band_factor(param: SeriesParam, lo: int, hi: int) -> _Factor:
     m, off = len(win_out), lo - win_out.lo
     w_in = np.sqrt(basis_norm_sq_array(param, win_in))
     w_out = np.sqrt(basis_norm_sq_array(param, win_out))
+    if not np.all(np.isfinite(w_out) & (w_out > 0)):
+        raise NoConvergence(
+            f"basis weights of {param.label()} on [{win_out.lo}, {win_out.hi}] leave the "
+            "floating-point range; the band factor needs finite positive weights"
+        )
     wu = np.zeros((3, n), dtype=np.complex128)
     ab = np.zeros((2 * _KL + _KU + 1, 2 * m - 1), dtype=np.complex128)
     ab[_DIAG, ::2] = _ALPHA
@@ -140,7 +152,7 @@ def _band_factor(param: SeriesParam, lo: int, hi: int) -> _Factor:
         ab[_DIAG + 1 - 2 * delta, 2 * rows] = np.conj(a_hat)
     lu, piv, info = lapack.zgbtrf(ab, _KL, _KU, overwrite_ab=1)
     if info != 0:
-        raise np.linalg.LinAlgError(f"zgbtrf failed with info={info}")
+        raise NoConvergence(f"band factor of {param.label()} on [{lo}, {hi}]: zgbtrf info={info}")
     return _Factor(lu, piv, wu, win_out, w_in, w_out)
 
 
@@ -182,27 +194,50 @@ def _solve_rows_refined(
     rhs: np.ndarray,
     opts: SolveOptions,
     scale: float,
-) -> tuple[np.ndarray, IndexWindow, float, int]:
+    groups: int = 1,
+) -> tuple[np.ndarray, IndexWindow, float, int, np.ndarray]:
     """Refinement loop for a batch sharing one operator.
 
-    Accepts once every row's residual is below tol_residual*scale and the
-    solutions agree on the previous window to the same tolerance.  Returns
-    (solutions, window, worst residual, refinements used).
+    The rows of rhs form `groups` equal consecutive groups.  A group is
+    accepted once each of its rows has a residual below tol_residual*scale
+    and its solutions agree on the previous window to the same tolerance;
+    the other groups are solved again with the padding doubled.  Returns
+    (solutions on the widest window, that window, worst residual, most
+    refinements, refinements per group).  A group accepted earlier is zero
+    outside its own window, which is expand_window(param, win_rhs,
+    opts.pad << its refinements).
     """
     tol = opts.tol_residual * scale
+    by_group = rhs.reshape(groups, -1, rhs.shape[-1])
+    pending = np.arange(groups)
+    refs = np.zeros(groups, dtype=int)
+    accepted = []  # (groups, their solutions, window), one entry per attempt that accepts
+    worst = 0.0
     pad = opts.pad
     prev = None
     for attempt in range(opts.max_refine + 1):
         win_in = expand_window(param, win_rhs, pad)
-        sol, resid = _lstsq_rows(param, win_in, rhs, win_rhs)
+        rows = by_group[pending].reshape(-1, rhs.shape[-1])
+        sol, resid = _lstsq_rows(param, win_in, rows, win_rhs)
+        sol = sol.reshape(len(pending), -1, len(win_in))
+        resid = resid.reshape(len(pending), -1).max(axis=1, initial=0.0)
         if prev is not None:
             prev_sol, prev_win = prev
             off = prev_win.lo - win_in.lo
             w0 = np.sqrt(basis_norm_sq_array(param, prev_win))
-            diff = (sol[:, off : off + len(prev_win)] - prev_sol) * w0[None, :]
-            stable = float(np.max(np.linalg.norm(diff, axis=1), initial=0.0)) <= tol
-            if stable and float(np.max(resid, initial=0.0)) <= tol:
-                return sol, win_in, float(np.max(resid, initial=0.0)), attempt
+            diff = (sol[..., off : off + len(prev_win)] - prev_sol) * w0
+            drift = np.linalg.norm(diff, axis=-1).max(axis=1, initial=0.0)
+            ok = (drift <= tol) & (resid <= tol)
+            accepted.append((pending[ok], sol[ok], win_in))
+            refs[pending[ok]] = attempt
+            worst = max(worst, float(np.max(resid[ok], initial=0.0)))
+            pending, sol, resid = pending[~ok], sol[~ok], resid[~ok]
+            if not len(pending):  # every group on this, the widest, window
+                out = np.zeros(by_group.shape[:2] + (len(win_in),), dtype=np.complex128)
+                for picked, done, win in accepted:
+                    off = win.lo - win_in.lo
+                    out[picked, :, off : off + len(win)] = done
+                return out.reshape(-1, len(win_in)), win_in, worst, attempt, refs
         prev = (sol, win_in)
         pad *= 2
     raise NoConvergence(
@@ -228,20 +263,26 @@ def split(f: TensorCoeffs) -> SplitParts:
     d = f.d
     if d < 2:
         raise ValueError("split needs d >= 2")
-    p_last = f.params.factors[-1]
-    w_last = f.windows[-1]
+    amps, f_ot = _split_last(f.params.factors[-1], f.windows[-1], f.coeffs)
     lead_params = f.params.keep_leading(d - 1)
-    lead_windows = f.windows[:-1]
-    amplitudes = {}
-    f_ot = np.zeros(f.coeffs.shape, dtype=np.complex128)
-    for s in (Sign.PLUS, Sign.MINUS):
-        dv = dist_values_array(p_last, s, w_last)
-        amp = np.tensordot(f.coeffs, dv, axes=([d - 1], [0]))
-        amplitudes[s] = TensorCoeffs(lead_params, lead_windows, amp)
-        f_ot = f_ot + amp[..., None] * phi(p_last, s, w_last)
+    amplitudes = {s: TensorCoeffs(lead_params, f.windows[:-1], a) for s, a in amps.items()}
     f_otimes = TensorCoeffs(f.params, f.windows, f_ot)
     f_d = TensorCoeffs(f.params, f.windows, f.coeffs - f_ot)
     return SplitParts(f_otimes, f_d, amplitudes)
+
+
+def _split_last(
+    p_last: SeriesParam, w_last: IndexWindow, arr: np.ndarray
+) -> tuple[dict[Sign, np.ndarray], np.ndarray]:
+    """Amplitudes F_± over the last axis of arr (any leading axes) and f_otimes."""
+    amplitudes = {}
+    f_ot = np.zeros(arr.shape, dtype=np.complex128)
+    for s in (Sign.PLUS, Sign.MINUS):
+        dv = dist_values_array(p_last, s, w_last)
+        amp = np.tensordot(arr, dv, axes=([arr.ndim - 1], [0]))
+        amplitudes[s] = amp
+        f_ot = f_ot + amp[..., None] * phi(p_last, s, w_last)
+    return amplitudes, f_ot
 
 
 def regularity_check(f: TensorCoeffs, t: float, c: float = 0.5) -> float:
@@ -281,49 +322,57 @@ def _solve_top_rec(
     opts: SolveOptions,
     scale: float,
 ) -> tuple[list[tuple[np.ndarray, tuple[IndexWindow, ...]]], int]:
-    """Recursive solve; returns [(g_i coefficients, g_i windows)] and the
-    worst refinement count.  Kernel membership is guarded per slice against
-    the global scale."""
+    """Recursive solve of a batch: arr[b] is one right-hand side on `windows`.
+
+    Returns [(g_i coefficients, batch axis first, g_i windows)] and the
+    worst refinement count.  Each level makes one least-squares batch per
+    operator, and every item keeps the refinements it would get alone.
+    Kernel membership is guarded per row against the global scale.
+    """
     d = params.d
+    batch = arr.shape[0]
     p_last = params.factors[-1]
     w_last = windows[-1]
     if d == 1:
-        rows = arr[None, :]
-        _slice_kernel_guard(rows, p_last, w_last, opts, scale)
-        sol, win, _, refs = _solve_rows_refined(p_last, w_last, rows, opts, scale)
-        return [(sol[0], (win,))], refs
-    f = TensorCoeffs(params, windows, arr)
-    parts = split(f)
+        _slice_kernel_guard(arr, p_last, w_last, opts, scale)
+        sol, win, _, refs, _ = _solve_rows_refined(p_last, w_last, arr, opts, scale, batch)
+        return [(sol, (win,))], refs
+    amplitudes, f_ot = _split_last(p_last, w_last, arr)
     lead_params = params.keep_leading(d - 1)
     lead_windows = windows[:-1]
-    refs_worst = 0
 
-    # leading-factor problems, one per nonzero split amplitude
-    partials: dict[Sign, list[tuple[np.ndarray, tuple[IndexWindow, ...]]]] = {}
-    for s in (Sign.PLUS, Sign.MINUS):
-        amp = parts.amplitudes[s]
-        if norm0(amp) > 0.0:
-            partials[s], refs = _solve_top_rec(lead_params, amp.windows, amp.coeffs, opts, scale)
-            refs_worst = max(refs_worst, refs)
-
+    # leading-factor problems: every nonzero split amplitude, F_plus then
+    # F_minus, in one batch
+    w2 = basis_norm_sq_grid(lead_params.factors, lead_windows)
+    item_axes = tuple(range(1, d))
+    picks = {
+        s: np.flatnonzero(np.sum(np.abs(amp) ** 2 * w2, axis=item_axes) > 0.0)
+        for s, amp in amplitudes.items()
+    }
+    stacked = np.concatenate([amplitudes[s][picks[s]] for s in amplitudes])
+    if len(stacked):
+        partials, refs_worst = _solve_top_rec(lead_params, lead_windows, stacked, opts, scale)
+    else:  # both amplitudes vanish on every item
+        partials, refs_worst = [(stacked, lead_windows)] * (d - 1), 0
     out: list[tuple[np.ndarray, tuple[IndexWindow, ...]]] = []
-    for i in range(d - 1):
+    for sols, sol_wins in partials:
         # g_i = sum_s G_s,i (x) phi_s, added PLUS then MINUS in place on the hull
-        wins = tensor.hull(lead_windows, *(sols[i][1] for sols in partials.values()))
-        gi = np.zeros(tuple(len(w) for w in wins) + (len(w_last),), dtype=np.complex128)
-        for s, sols in partials.items():
-            arr, arr_wins = sols[i]
-            gi[tensor.sub_slices(arr_wins, wins)] += arr[..., None] * phi(p_last, s, w_last)
+        wins = tensor.hull(lead_windows, sol_wins)
+        gi = np.zeros((batch,) + tuple(len(w) for w in wins) + (len(w_last),), dtype=np.complex128)
+        block = tensor.sub_slices(sol_wins, wins)
+        start = 0
+        for s, idx in picks.items():
+            part = sols[start : start + len(idx)]
+            start += len(idx)
+            gi[(idx,) + block] += part[..., None] * phi(p_last, s, w_last)
         out.append((gi, wins + (w_last,)))
 
-    # last-factor problem, slice by slice over the leading indices
-    lead_shape = tuple(len(w) for w in lead_windows)
-    rows = parts.f_d.coeffs.reshape(int(np.prod(lead_shape)), len(w_last))
+    # last-factor problem: the rows of all items, each item one refinement group
+    rows = (arr - f_ot).reshape(-1, len(w_last))
     _slice_kernel_guard(rows, p_last, w_last, opts, scale)
-    sol, win, _, refs = _solve_rows_refined(p_last, w_last, rows, opts, scale)
-    refs_worst = max(refs_worst, refs)
-    out.append((sol.reshape(lead_shape + (len(win),)), lead_windows + (win,)))
-    return out, refs_worst
+    sol, win, _, refs, _ = _solve_rows_refined(p_last, w_last, rows, opts, scale, batch)
+    out.append((sol.reshape(arr.shape[:-1] + (len(win),)), lead_windows + (win,)))
+    return out, max(refs_worst, refs)
 
 
 def solve_top(
@@ -350,8 +399,8 @@ def solve_top(
     if fn0 == 0.0:
         zero = [tensor.zeros(f.params, f.windows) for _ in range(f.d)]
         return zero, SolveReport(0.0, 0.0, 0.0, {t: 0.0 for t in opts.t_list}, 0)
-    raw, refs = _solve_top_rec(f.params, f.windows, f.coeffs, opts, fn0)
-    g_list = [TensorCoeffs(f.params, wins, arr) for arr, wins in raw]
+    raw, refs = _solve_top_rec(f.params, f.windows, f.coeffs[None], opts, fn0)
+    g_list = [TensorCoeffs(f.params, wins, arr[0]) for arr, wins in raw]
     report = verify_solution(f, g_list, opts.t_list)
     report.refinements_used = refs
     if report.residual_interior > opts.tol_residual * fn0:

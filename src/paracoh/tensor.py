@@ -83,11 +83,15 @@ def embed_array(
     old: tuple[IndexWindow, ...],
     new: tuple[IndexWindow, ...],
 ) -> np.ndarray:
-    """Re-window a dense array; raises if nonzero support would be dropped."""
+    """Re-window a dense array; raises if nonzero support would be dropped.
+
+    The windows index the trailing axes; leading axes (a batch) are kept.
+    """
     if len(old) != len(new):
         raise ValueError("rank mismatch")
-    out = np.zeros(tuple(len(w) for w in new), dtype=np.complex128)
-    src, dst = [], []
+    lead = arr.shape[: arr.ndim - len(old)]
+    out = np.zeros(lead + tuple(len(w) for w in new), dtype=np.complex128)
+    src, dst = [...], [...]
     for wo, wn in zip(old, new):
         lo, hi = max(wo.lo, wn.lo), min(wo.hi, wn.hi)
         if lo > hi:

@@ -105,3 +105,13 @@ def test_t_flag_parsing(tmp_path):
     ratios = doc["components"][0]["sobolev_ratios"]
     assert set(ratios) == {"1.0", "3.0"}
     assert main(["solve-top", "--config", cfg_path, "--t", "abc"]) == 1
+
+
+def test_band_factor_failure_exit_code(tmp_path, capsys):
+    from paracoh import SeriesParam
+    from paracoh.config import ComponentConfig, ExperimentConfig
+
+    comp = ComponentConfig(label="d400", factors=(SeriesParam.discrete(400),))
+    cfg_path = _write_config(tmp_path, ExperimentConfig(components=(comp,), k_per_axis=2048))
+    assert main(["solve-top", "--config", cfg_path, "--out", str(tmp_path)]) == 4
+    assert "finite positive weights" in capsys.readouterr().err

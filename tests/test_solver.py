@@ -471,3 +471,14 @@ def test_top_degree_memory_stays_on_solver_windows(rng):
         tracemalloc.stop()
     assert rep.residual_interior <= 1e-8 * rep.f_norm0
     assert peak < 256 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
+
+
+def test_band_factor_weight_underflow_is_typed():
+    # discrete(400) at K=2048: the squared basis norm of the top index
+    # underflows to 0, and the band factor would divide by it
+    p = SeriesParam.discrete(400)
+    win = default_window(p, 2048)
+    coeffs = basis_vector(p, 400, win).coeffs - basis_vector(p, 401, win).coeffs
+    f = TensorCoeffs(MultiParam((p,)), (win,), coeffs)  # D+(f) = 0
+    with pytest.raises(NoConvergence, match="finite positive weights"):
+        solve_top(f)
