@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
@@ -45,8 +46,17 @@ class ExperimentConfig:
                 )
         if self.k_per_axis < 4:
             raise ConfigError(f"k_per_axis too small: {self.k_per_axis}")
-        if not self.t_list or any(t <= 0 for t in self.t_list):
-            raise ConfigError(f"t_list must be positive, got {self.t_list}")
+        if not self.t_list or not all(0 < t < math.inf for t in self.t_list):
+            raise ConfigError(f"t_list must be positive and finite, got {self.t_list}")
+        for key in ("eps0", "nu0"):
+            if not 0 < getattr(self, key) < 1:
+                raise ConfigError(f"{key} must lie in (0, 1), got {getattr(self, key)}")
+        try:  # pad, tolerances and max_refine, by the solver's own rules
+            self.solve_options()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def d(self) -> int:

@@ -5,6 +5,10 @@ high Sobolev norms stay finite at desk scale; `margin` zeroes a band at the
 truncation edges so the generator action cannot spill outside the window.
 The lowest-weight edge of a discrete factor is a true boundary of the index
 set, not a truncation cut, so no margin is applied there.
+
+`random_coeffs` returns a batch of coefficient arrays, batch axis first,
+from one normal draw; `random_tensor` is a batch of one, and the batch holds
+the items that as many successive single draws give.
 """
 
 from __future__ import annotations
@@ -44,6 +48,33 @@ def random_vector(
     return TensorCoeffs(MultiParam((param,)), (window,), coeffs)
 
 
+def random_coeffs(
+    params: MultiParam,
+    windows: tuple[IndexWindow, ...],
+    rng: np.random.Generator,
+    count: int,
+    decay: float = 4.0,
+    margin: int = 2,
+) -> np.ndarray:
+    """`count` random coefficient arrays on `windows`, batch axis first.
+
+    One normal draw of shape (count, 2) + window shape gives item b its real
+    part [b, 0] and imaginary part [b, 1]: the stream, and so every item,
+    is that of `count` calls of `random_tensor`.
+    """
+    qgrid, _ = repn.weight_grids(params.factors, windows)
+    z = rng.standard_normal((count, 2) + qgrid.shape)
+    coeffs = 1j * z[:, 1]
+    coeffs += z[:, 0]
+    coeffs /= np.sqrt(2.0)
+    coeffs *= qgrid ** (-decay)
+    for j, (p, w) in enumerate(zip(params.factors, windows)):
+        shape = [1] * params.d
+        shape[j] = len(w)
+        coeffs *= _edge_mask(p, w, margin).reshape(shape)
+    return coeffs
+
+
 def random_tensor(
     params: MultiParam,
     windows: tuple[IndexWindow, ...],
@@ -51,13 +82,9 @@ def random_tensor(
     decay: float = 4.0,
     margin: int = 2,
 ) -> TensorCoeffs:
-    qgrid, _ = repn.weight_grids(params.factors, windows)
-    coeffs = _complex_normal(rng, qgrid.shape) * qgrid ** (-decay)
-    for j, (p, w) in enumerate(zip(params.factors, windows)):
-        shape = [1] * params.d
-        shape[j] = len(w)
-        coeffs = coeffs * _edge_mask(p, w, margin).reshape(shape)
-    return TensorCoeffs(params, tuple(windows), coeffs)
+    """A batch of one from `random_coeffs`."""
+    arr = random_coeffs(params, windows, rng, 1, decay, margin)[0]
+    return TensorCoeffs(params, tuple(windows), arr)
 
 
 def random_kernel_tensor(

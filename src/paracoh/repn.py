@@ -14,9 +14,10 @@ validating both; see tests.
 `apply_u_axis_array` is the one implementation of this stencil, on any axis
 of a dense array; `u_matrix` (the stencil on the identity) is a view of it.
 `sobolev_norm_array` is the one Sobolev norm, on arrays over any factor
-tuple; it needs no `MultiParam`, so it also serves parameters outside the
-product gates.  The scalar `basis_norm_sq` and `weight_Q` read their array
-twins, and `casimir_mu` is an alias of `SeriesParam.mu`.
+tuple, with leading axes a batch; it needs no `MultiParam`, so it also
+serves parameters outside the product gates.  The scalar `basis_norm_sq`
+and `weight_Q` read their array twins, and `casimir_mu` is an alias of
+`SeriesParam.mu`.
 """
 
 from __future__ import annotations
@@ -137,10 +138,20 @@ def sobolev_norm_array(
     windows: tuple[IndexWindow, ...],
     coeffs: np.ndarray,
     t: float,
-) -> float:
-    """sqrt of sum (1 + sum mu_j + 2|k|^2)^t |f(k)|^2 prod ||u(k_j)||^2."""
-    mag2 = np.abs(coeffs) ** 2
+) -> float | np.ndarray:
+    """sqrt of sum (1 + sum mu_j + 2|k|^2)^t |f(k)|^2 prod ||u(k_j)||^2.
+
+    The windows index the trailing axes of `coeffs`; leading axes are a
+    batch, normed item by item.  Without a batch the norm is a float.
+    """
+    axes = tuple(range(-len(windows), 0))
+    mag2 = np.abs(coeffs)
+    np.square(mag2, out=mag2)
     if t == 0.0:
-        return float(np.sqrt(np.sum(mag2 * basis_norm_sq_grid(factors, windows))))
-    qgrid, w2 = weight_grids(factors, windows)
-    return float(np.sqrt(np.sum(qgrid**t * mag2 * w2)))
+        mag2 *= basis_norm_sq_grid(factors, windows)
+    else:
+        qgrid, w2 = weight_grids(factors, windows)
+        mag2 *= qgrid**t
+        mag2 *= w2
+    norms = np.sqrt(np.sum(mag2, axis=axes))
+    return float(norms) if norms.ndim == 0 else norms

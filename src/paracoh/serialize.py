@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from typing import Any
 
@@ -47,10 +48,20 @@ def json_int(value: Any) -> int:
 
 
 def json_float(value: Any) -> float:
-    """A real-number field of a JSON document; bools and strings raise ValueError."""
+    """A finite real-number field of a JSON document.
+
+    Raises ValueError for bools, strings, NaN, ±Infinity (which json reads
+    from the tokens NaN and Infinity) and integers too large for a float.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return out
 
 
 def factor_to_json(p: SeriesParam) -> dict:

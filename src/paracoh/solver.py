@@ -45,7 +45,7 @@ from . import tensor
 from .distributions import Sign, dist_values_array, phi, valid_signs
 from .errors import NoConvergence, NotInKernel
 from .params import IndexWindow, MultiParam, SeriesParam, expand_window
-from .repn import apply_u_axis_array, basis_norm_sq_array, basis_norm_sq_grid
+from .repn import apply_u_axis_array, basis_norm_sq_array, basis_norm_sq_grid, sobolev_norm_array
 from .tensor import TensorCoeffs, norm0, tensor_sobolev_norm, valid_tags
 
 
@@ -281,20 +281,35 @@ def _split_last(
         dv = dist_values_array(p_last, s, w_last)
         amp = np.tensordot(arr, dv, axes=([arr.ndim - 1], [0]))
         amplitudes[s] = amp
-        f_ot = f_ot + amp[..., None] * phi(p_last, s, w_last)
+        f_ot += amp[..., None] * phi(p_last, s, w_last)
     return amplitudes, f_ot
+
+
+def regularity_array(
+    factors: tuple[SeriesParam, ...],
+    windows: tuple[IndexWindow, ...],
+    arr: np.ndarray,
+    t: float,
+    c: float = 0.5,
+) -> np.ndarray:
+    """Diagnostic ratios ||f_otimes||_t / ||f||_{2t+c}, one per item of arr.
+
+    The windows index the trailing axes; leading axes are a batch.  An
+    item with ||f|| = 0 has ratio 0.
+    """
+    if len(windows) < 2:
+        raise ValueError("needs d >= 2")
+    if t <= 0:
+        raise ValueError(f"needs t > 0, got {t}")
+    denom = sobolev_norm_array(factors, windows, arr, 2.0 * t + c)
+    _, f_ot = _split_last(factors[-1], windows[-1], arr)
+    num = sobolev_norm_array(factors, windows, f_ot, t)
+    return np.divide(num, denom, out=np.zeros_like(num), where=denom != 0.0)
 
 
 def regularity_check(f: TensorCoeffs, t: float, c: float = 0.5) -> float:
     """Diagnostic ratio ||f_otimes||_t / ||f||_{2t+c}."""
-    if f.d < 2:
-        raise ValueError("needs d >= 2")
-    if t <= 0:
-        raise ValueError(f"needs t > 0, got {t}")
-    denom = tensor_sobolev_norm(f, 2.0 * t + c)
-    if denom == 0.0:
-        return 0.0
-    return tensor_sobolev_norm(split(f).f_otimes, t) / denom
+    return float(regularity_array(f.params.factors, f.windows, f.coeffs[None], t, c)[0])
 
 
 # --- top-degree recursion ---------------------------------------------------

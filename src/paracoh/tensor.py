@@ -13,7 +13,9 @@ The per-axis action is `repn.apply_u_axis_array`, imported here by name; it
 is the package's only copy of the generator stencil.  The norm is
 `repn.sobolev_norm_array` on the tensor's factors.  `hull` is the one
 window-hull helper: every sum of arrays on different windows embeds them
-into `hull(...)` first.
+into `hull(...)` first.  The product functionals and the kernel projector
+work on arrays whose leading axes are a batch (`product_dist_array`,
+`kernel_project_array`); the `TensorCoeffs` functions are a batch of one.
 """
 
 from __future__ import annotations
@@ -213,15 +215,33 @@ def valid_tags(params: MultiParam) -> list[MultiTag]:
     return list(itertools.product(*choices))
 
 
+def product_dist_array(
+    factors: tuple[SeriesParam, ...],
+    windows: tuple[IndexWindow, ...],
+    arr: np.ndarray,
+    tag: MultiTag,
+) -> np.ndarray:
+    """sum_k arr[..., k] prod_j D^{tag_j}(u(k_j)) over the trailing axes.
+
+    The windows index the trailing axes; leading axes are a batch and are
+    kept.  Each factor is contracted by a matmul over the batch, which gives
+    every item the sums it gets alone.
+    """
+    if len(tag) != len(windows):
+        raise ValueError(f"tag length {len(tag)} != d={len(windows)}")
+    lead = arr.shape[: arr.ndim - len(windows)]
+    out = arr.reshape((-1,) + arr.shape[len(lead) :])
+    batch = out.shape[0]
+    for p, w, s in zip(factors[:-1], windows[:-1], tag[:-1]):
+        vals = dist.dist_values_array(p, s, w)
+        out = out.reshape(batch, len(w), -1).transpose(0, 2, 1) @ vals
+    vals = dist.dist_values_array(factors[-1], tag[-1], windows[-1])
+    return (out.reshape(batch, 1, -1) @ vals).reshape(lead)
+
+
 def product_dist_evaluate(f: TensorCoeffs, tag: MultiTag) -> complex:
     """sum_k f(k) prod_j D^{tag_j}(u(k_j))."""
-    if len(tag) != f.d:
-        raise ValueError(f"tag length {len(tag)} != d={f.d}")
-    out = f.coeffs
-    for p, w, s in zip(f.params.factors, f.windows, tag):
-        vals = dist.dist_values_array(p, s, w)
-        out = np.tensordot(out, vals, axes=([0], [0]))
-    return complex(out)
+    return complex(product_dist_array(f.params.factors, f.windows, f.coeffs, tag))
 
 
 def phi_tensor(params: MultiParam, tag: MultiTag, windows: tuple[IndexWindow, ...]) -> TensorCoeffs:
@@ -233,13 +253,26 @@ def phi_tensor(params: MultiParam, tag: MultiTag, windows: tuple[IndexWindow, ..
     return TensorCoeffs(params, tuple(windows), out)
 
 
+def kernel_project_array(
+    params: MultiParam, windows: tuple[IndexWindow, ...], arr: np.ndarray
+) -> np.ndarray:
+    """Remove the Phi components of every item of `arr`, in place.
+
+    Leading axes of `arr` are a batch.  Every functional is evaluated on
+    the input before the first subtraction, so each item loses the
+    components it had.
+    """
+    tags = valid_tags(params)
+    coeffs = [product_dist_array(params.factors, windows, arr, tag) for tag in tags]
+    for tag, c in zip(tags, coeffs):
+        c = c.reshape(c.shape + (1,) * len(windows))
+        np.subtract(arr, c * phi_tensor(params, tag, windows).coeffs, out=arr, where=c != 0)
+    return arr
+
+
 def kernel_project(f: TensorCoeffs) -> TensorCoeffs:
     """Remove the Phi components so every product functional vanishes."""
-    arr = f.coeffs.copy()
-    for tag in valid_tags(f.params):
-        c = product_dist_evaluate(f, tag)
-        if c != 0:
-            arr = arr - c * phi_tensor(f.params, tag, f.windows).coeffs
+    arr = kernel_project_array(f.params, f.windows, f.coeffs.copy())
     return TensorCoeffs(f.params, f.windows, arr)
 
 

@@ -111,6 +111,7 @@ def test_solve_top_parallel_matches_serial(monkeypatch):
         "solve-top": lambda: cmd_solve_top(_small_config(seed=3)),
         "solve-form d=3 degree 2": lambda: cmd_solve_form(cfg3, 2),
         "verify-invariants": lambda: cmd_verify_invariants(_small_config()),
+        "sweep-bounds": lambda: cmd_sweep_bounds(_small_config(seed=2, k=8)),
     }
     for name, run in runs.items():
         monkeypatch.setenv("PARACOH_THREADS", "1")

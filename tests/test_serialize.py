@@ -1,6 +1,7 @@
 """File schemas: bit-exact round trips and validation failures."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from paracoh.serialize import (
     factor_from_json,
     form_from_json,
     form_to_json,
+    json_float,
     load_form,
     load_tensor,
     save_form,
@@ -156,6 +158,17 @@ def test_real_fields_not_coerced():
     assert factor_from_json({"kind": "principal", "nu_im": 2}) == SeriesParam.principal(2.0)
     cfg = config_from_json({**doc, "eps0": 0.04, "t_list": [1, 2.5]})
     assert (cfg.eps0, cfg.t_list) == (0.04, (1.0, 2.5))
+
+
+def test_non_finite_reals_rejected():
+    for bad in (math.nan, math.inf, -math.inf, 10**400):
+        with pytest.raises(ValueError):
+            json_float(bad)
+        with pytest.raises(SchemaError):
+            factor_from_json({"kind": "complementary", "nu": bad})
+        with pytest.raises(ConfigError):
+            config_from_json({**config_to_json(default_config()), "tol_kernel": bad})
+    assert json_float(10**300) == 1e300 and json_float(-2) == -2.0
 
 
 def test_schema_ints_not_coerced(rng):
