@@ -40,31 +40,29 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="experiment config JSON")
+    common.add_argument("--seed", type=int, help="override the config seed")
+    common.add_argument("--out", help="report output directory")
+    common.add_argument("--k-per-axis", type=int, dest="k_per_axis")
+    common.add_argument("--t", help="comma-separated Sobolev orders, e.g. '1,2'")
     parser = _Parser(prog="paracoh", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="experiment config JSON")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--out", help="report output directory")
-        p.add_argument("--k-per-axis", type=int, dest="k_per_axis")
-        p.add_argument("--t", help="comma-separated Sobolev orders, e.g. '1,2'")
-
-    p = sub.add_parser("verify-invariants", help="run the invariant suites")
-    common(p)
-    p = sub.add_parser("solve-top", help="top-degree coboundary solves per component")
-    common(p)
-    p.add_argument("--input", action="append", help="tensor JSON per component")
-    p = sub.add_parser("solve-form", help="lower-degree primitive solves per component")
-    common(p)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--input", action="append", help="form JSON per component")
-    p = sub.add_parser("sweep-bounds", help="bound sweeps and fitted exponents")
-    common(p)
-    p = sub.add_parser("gen", help="write random inputs for later solves")
-    common(p)
-    p.add_argument("--kind", choices=("tensor", "form"), default="tensor")
-    p.add_argument("--degree", type=int, help="form degree (gen --kind form)")
+    p = {
+        name: sub.add_parser(name, parents=[common], help=text)
+        for name, text in (
+            ("verify-invariants", "run the invariant suites"),
+            ("solve-top", "top-degree coboundary solves per component"),
+            ("solve-form", "lower-degree primitive solves per component"),
+            ("sweep-bounds", "bound sweeps and fitted exponents"),
+            ("gen", "write random inputs for later solves"),
+        )
+    }
+    p["solve-top"].add_argument("--input", action="append", help="tensor JSON per component")
+    p["solve-form"].add_argument("--degree", type=int, required=True)
+    p["solve-form"].add_argument("--input", action="append", help="form JSON per component")
+    p["gen"].add_argument("--kind", choices=("tensor", "form"), default="tensor")
+    p["gen"].add_argument("--degree", type=int, help="form degree (gen --kind form)")
     return parser
 
 
@@ -85,8 +83,7 @@ def _load_cfg(args) -> "ExperimentConfig":
     )
 
 
-def _emit(report: experiments.Report, cfg) -> None:
-    out_dir = cfg.out_dir or "paracoh-out"
+def _emit(report: experiments.Report, out_dir) -> None:
     paths = experiments.write_report(report, out_dir)
     for rows in report.tables.values():
         for row in rows:
@@ -104,6 +101,17 @@ def _load_inputs(paths):
     return [serialize.load_json(p) for p in paths]
 
 
+# command -> (run(cfg, args) giving its Report, exit code of a failing report)
+REPORT_COMMANDS = {
+    "verify-invariants": (lambda cfg, a: experiments.cmd_verify_invariants(cfg), EXIT_INVARIANT),
+    "solve-top": (lambda cfg, a: experiments.cmd_solve_top(cfg, _load_inputs(a.input)),
+                  EXIT_NO_CONVERGENCE),
+    "solve-form": (lambda cfg, a: experiments.cmd_solve_form(cfg, a.degree, _load_inputs(a.input)),
+                   EXIT_NO_CONVERGENCE),
+    "sweep-bounds": (lambda cfg, a: experiments.cmd_sweep_bounds(cfg), EXIT_INVARIANT),
+}
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -111,29 +119,15 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _load_cfg(args)
-        if args.command == "verify-invariants":
-            report = experiments.cmd_verify_invariants(cfg)
-            _emit(report, cfg)
-            return EXIT_OK if report.passed else EXIT_INVARIANT
-        if args.command == "solve-top":
-            report = experiments.cmd_solve_top(cfg, _load_inputs(args.input))
-            _emit(report, cfg)
-            return EXIT_OK if report.passed else EXIT_NO_CONVERGENCE
-        if args.command == "solve-form":
-            report = experiments.cmd_solve_form(cfg, args.degree, _load_inputs(args.input))
-            _emit(report, cfg)
-            return EXIT_OK if report.passed else EXIT_NO_CONVERGENCE
-        if args.command == "sweep-bounds":
-            report = experiments.cmd_sweep_bounds(cfg)
-            _emit(report, cfg)
-            return EXIT_OK if report.passed else EXIT_INVARIANT
+        out_dir = cfg.out_dir or "paracoh-out"
         if args.command == "gen":
-            out_dir = cfg.out_dir or "paracoh-out"
-            paths = experiments.cmd_gen(cfg, args.kind, args.degree, out_dir)
-            for p in paths:
-                print(p)
+            for path in experiments.cmd_gen(cfg, args.kind, args.degree, out_dir):
+                print(path)
             return EXIT_OK
-        raise ConfigError(f"unknown command {args.command!r}")  # pragma: no cover
+        run, fail_code = REPORT_COMMANDS[args.command]
+        report = run(cfg, args)
+        _emit(report, out_dir)
+        return EXIT_OK if report.passed else fail_code
     except (NotInKernel, NotClosed) as exc:
         print(f"obstruction: {exc}", file=sys.stderr)
         return EXIT_OBSTRUCTION

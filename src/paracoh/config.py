@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
@@ -39,11 +40,21 @@ class ExperimentConfig:
         if not self.components:
             raise ConfigError("component list is empty")
         d = len(self.components[0].factors)
+        if d < 1:
+            raise ConfigError("components need at least one factor")
+        labels = set()
         for c in self.components:
             if len(c.factors) != d:
                 raise ConfigError(
                     f"component {c.label!r} has {len(c.factors)} factors, others have {d}"
                 )
+            # a label names the files gen writes: a non-empty, unique file-name stem
+            bad = not isinstance(c.label, str) or not c.label
+            if bad or any(ch in c.label for ch in ("/", os.sep, "\0")):
+                raise ConfigError(f"component label {c.label!r} is not a file-name stem")
+            if c.label in labels:
+                raise ConfigError(f"component label {c.label!r} is used twice")
+            labels.add(c.label)
         if self.k_per_axis < 4:
             raise ConfigError(f"k_per_axis too small: {self.k_per_axis}")
         if not self.t_list or not all(0 < t < math.inf for t in self.t_list):
@@ -98,13 +109,16 @@ def config_to_json(cfg: ExperimentConfig) -> dict:
 def config_from_json(doc) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
+    entries = doc.get("components")
+    if not isinstance(entries, list) or not all(isinstance(c, dict) for c in entries):
+        raise ConfigError(f"components must be a list of objects, got {entries!r}")
     try:
         comps = tuple(
             ComponentConfig(
-                label=str(c.get("label", f"component-{i}")),
+                label=c.get("label", f"component-{i}"),
                 factors=tuple(factor_from_json(p) for p in c["factors"]),
             )
-            for i, c in enumerate(doc["components"])
+            for i, c in enumerate(entries)
         )
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad components entry: {exc}") from exc
@@ -132,12 +146,12 @@ def config_from_json(doc) -> ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"config is not UTF-8 JSON: {exc}") from exc
     return config_from_json(doc)
 
 

@@ -6,6 +6,11 @@ point.  Components and grid points run through the deterministic parallel
 map, with per-task RNG streams derived from (seed, index), so identical
 config+seed yields an identical report regardless of scheduling.
 
+`_component_input` is the one source of a component's input: the kernel
+tensor or closed form drawn from (seed, index), or a loaded document over
+the component's factors.  `gen` writes what a solve without inputs draws.
+Every gated check row comes from `_gate_row`.
+
 The random-sample checks carry a leading batch axis: the projection
 inequalities check all samples of a product at once (`_projection_excess`),
 and the regularity sweep draws, projects and checks its samples in batches
@@ -14,7 +19,9 @@ and the regularity sweep draws, projects and checks its samples in batches
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,6 +34,7 @@ from .distributions import (
     dist_values_array,
     phi_pairing_matrix,
     phi_sobolev_sum,
+    valid_signs,
 )
 from .errors import ConfigError, TailNotConverged
 from .params import IndexWindow, Kind, MultiParam, SeriesParam, default_window
@@ -53,31 +61,22 @@ class Report:
     tables: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "passed": self.passed,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "version": self.version,
-            "metadata": self.metadata,
-            "components": self.components,
-            "tables": self.tables,
-        }
+        return dataclasses.asdict(self)
+
+
+def _report(cfg: ExperimentConfig, command: str, passed: bool, **fields) -> Report:
+    """A command's report, identified by its config's hash and seed."""
+    return Report(command, passed, config_hash(cfg), cfg.seed, **fields)
 
 
 def write_report(report: Report, out_dir) -> list[str]:
     """report.json plus one CSV per sweep table; returns written paths."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    report_path = os.path.join(out_dir, f"{report.command}.json")
-    serialize.save_json(report_path, report.to_json())
-    paths.append(report_path)
+    paths = [os.path.join(out_dir, f"{report.command}.json")]
+    serialize.save_json(paths[0], report.to_json())
     for name, rows in report.tables.items():
-        csv_path = os.path.join(out_dir, f"{report.command}.{name}.csv")
-        serialize.table_to_csv(rows, csv_path)
-        paths.append(csv_path)
+        paths.append(os.path.join(out_dir, f"{report.command}.{name}.csv"))
+        serialize.table_to_csv(rows, paths[-1])
     return paths
 
 
@@ -111,8 +110,6 @@ def invariance_defect(param: SeriesParam, k: int = 32) -> float:
     win = default_window(param, k)
     a, wout = u_matrix(param, win)
     worst = 0.0
-    from .distributions import valid_signs
-
     for tag in valid_signs(param):
         dv = dist_values_array(param, tag, wout)
         worst = max(worst, float(np.max(np.abs(dv @ a))))
@@ -138,6 +135,12 @@ def duality_defect(param: SeriesParam) -> float:
     if param.kind is Kind.DISCRETE:
         target[1, 1] = 0.0
     return float(np.max(np.abs(phi_pairing_matrix(param) - target)))
+
+
+def _gate_row(param, value: float, bound: float) -> dict:
+    """A check row that passes when value <= bound."""
+    return {"param": param, "value": value, "bound": bound, "ratio": value / bound,
+            "pass": value <= bound}
 
 
 def rational_identity_rows() -> list[dict]:
@@ -221,15 +224,7 @@ def projection_inequality_rows(seed: int, count: int = 24, k: int = 12) -> list[
         windows = tuple(default_window(p, k) for p in params.factors)
         f = generate.random_coeffs(params, windows, rng, count, decay=2.0, margin=0)
         worst = max(0.0, *_projection_excess(params, windows, f, 1.0, 1.0))
-        rows.append(
-            {
-                "param": params.label(),
-                "value": worst,
-                "bound": 1e-12,
-                "ratio": worst / 1e-12,
-                "pass": worst <= 1e-12,
-            }
-        )
+        rows.append(_gate_row(params.label(), worst, 1e-12))
     return rows
 
 
@@ -246,167 +241,124 @@ def dd_zero_rows(seed: int, k: int = 6) -> list[dict]:
                 worst = max(
                     worst, forms.form_norm0(dd) / max(forms.form_norm0(w), 1e-300)
                 )
-        rows.append(
-            {
-                "param": params.label(),
-                "value": worst,
-                "bound": 1e-12,
-                "ratio": worst / 1e-12,
-                "pass": worst <= 1e-12,
-            }
-        )
+        rows.append(_gate_row(params.label(), worst, 1e-12))
     return rows
+
+
+# (table, check on one grid point, bound), in report order
+GRID_CHECKS = (
+    ("invariance", invariance_defect, 1e-12),
+    ("unitarity", skew_defect, 1e-12),
+    ("duality", duality_defect, 1e-13),
+)
 
 
 def cmd_verify_invariants(cfg: ExperimentConfig) -> Report:
     grid = verify_grid()
-
-    def invariance_task(p):
-        val = invariance_defect(p, 32)
-        return {"param": p.label(), "value": val, "bound": 1e-12, "ratio": val / 1e-12,
-                "pass": val <= 1e-12}
-
-    def skew_task(p):
-        val = skew_defect(p, 128)
-        return {"param": p.label(), "value": val, "bound": 1e-12, "ratio": val / 1e-12,
-                "pass": val <= 1e-12}
-
-    def duality_task(p):
-        val = duality_defect(p)
-        return {"param": p.label(), "value": val, "bound": 1e-13, "ratio": val / 1e-13,
-                "pass": val <= 1e-13}
-
-    tables = {
-        "invariance": parallel_map(invariance_task, grid),
-        "unitarity": parallel_map(skew_task, grid),
-        "duality": parallel_map(duality_task, grid),
-        "rational": rational_identity_rows(),
-        "projection": projection_inequality_rows(cfg.seed),
-        "dd_zero": dd_zero_rows(cfg.seed),
-    }
+    tables = {}
+    for name, check, bound in GRID_CHECKS:
+        tables[name] = parallel_map(lambda p: _gate_row(p.label(), check(p), bound), grid)
+    tables["rational"] = rational_identity_rows()
+    tables["projection"] = projection_inequality_rows(cfg.seed)
+    tables["dd_zero"] = dd_zero_rows(cfg.seed)
     passed = all(row["pass"] for rows in tables.values() for row in rows)
-    return Report(
-        command="verify-invariants",
-        passed=passed,
-        config_hash=config_hash(cfg),
-        seed=cfg.seed,
-        tables=tables,
-    )
+    return _report(cfg, "verify-invariants", passed, tables=tables)
 
 
 # --- solves -------------------------------------------------------------------
 
 
-def _solve_top_component(
-    cfg: ExperimentConfig, idx: int, comp: ComponentConfig, input_doc=None
-) -> dict:
+def _component_input(cfg: ExperimentConfig, idx: int, comp: ComponentConfig,
+                     degree: int | None, doc: dict | None):
+    """What component `idx` is solved on: a kernel tensor (degree None) or a
+    closed form of `degree`, drawn from (seed, idx) on the default windows,
+    or loaded from `doc`, whose windows may differ but factors may not."""
     params = cfg.multi_param(comp)
-    windows = tuple(default_window(p, cfg.k_per_axis) for p in params.factors)
-    if input_doc is not None:
-        f = serialize.tensor_from_json(input_doc, eps0=cfg.eps0, nu0=cfg.nu0)
-    else:
+    if doc is None:
+        windows = tuple(default_window(p, cfg.k_per_axis) for p in params.factors)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, idx]))
-        f = generate.random_kernel_tensor(params, windows, rng)
-    _, rep = solver.solve_top(f, cfg.solve_options())
-    fn0 = rep.f_norm0 if rep.f_norm0 > 0 else 1.0
-    return {
-        "param": comp.label,
-        "label": comp.label,
-        "factors": params.label(),
-        "residual_rel": rep.residual_interior / fn0,
-        "kernel_defect_rel": rep.kernel_defect / fn0,
-        "sobolev_ratios": {str(t): r for t, r in rep.sobolev_ratios.items()},
-        "max_ratio": max(rep.sobolev_ratios.values(), default=0.0),
-        "refinements": rep.refinements_used,
-    }
+        if degree is None:
+            return generate.random_kernel_tensor(params, windows, rng)
+        return generate.random_closed_form(params, windows, degree, rng)[0]
+    load = serialize.tensor_from_json if degree is None else serialize.form_from_json
+    obj = load(doc, eps0=cfg.eps0, nu0=cfg.nu0)
+    if obj.params.factors != params.factors:
+        raise ConfigError(f"input for component {comp.label!r} is over {obj.params.label()}, "
+                          f"not its factors {params.label()}")
+    if degree is not None and obj.degree != degree:
+        raise ConfigError(f"input form has degree {obj.degree}, requested {degree}")
+    return obj
+
+
+def _solve_components(cfg: ExperimentConfig, input_docs, degree, solve, row) -> list[dict]:
+    """row(comp, input, report, fn0) for every component, through the parallel
+    map: each input (its document in `input_docs`, or drawn when None) solved
+    by `solve`; fn0 is the input's norm, or 1 for a zero input."""
+    n = len(cfg.components)
+    if input_docs is not None and len(input_docs) != n:
+        raise ConfigError(f"{len(input_docs)} inputs for {n} components")
+    docs = [None] * n if input_docs is None else input_docs
+
+    def task(item):
+        idx, comp, doc = item
+        obj = _component_input(cfg, idx, comp, degree, doc)
+        _, rep = solve(obj, cfg.solve_options())
+        return row(comp, obj, rep, rep.f_norm0 if rep.f_norm0 > 0 else 1.0)
+
+    return parallel_map(task, list(zip(range(n), cfg.components, docs)))
+
+
+def _solve_report(cfg: ExperimentConfig, command: str, rows: list[dict], **metadata) -> Report:
+    """A solve command passes when every component's residual is within tol_residual."""
+    max_resid = max(r["residual_rel"] for r in rows)
+    metadata = {"max_residual_rel": max_resid, **metadata}
+    return _report(cfg, command, max_resid <= cfg.tol_residual, metadata=metadata, components=rows)
 
 
 def cmd_solve_top(cfg: ExperimentConfig, input_docs=None) -> Report:
-    if input_docs is not None and len(input_docs) != len(cfg.components):
-        raise ConfigError(
-            f"{len(input_docs)} inputs for {len(cfg.components)} components"
-        )
-    tasks = list(enumerate(cfg.components))
+    def row(comp, f, rep, fn0):
+        return {
+            "param": comp.label,
+            "label": comp.label,
+            "factors": f.params.label(),
+            "residual_rel": rep.residual_interior / fn0,
+            "kernel_defect_rel": rep.kernel_defect / fn0,
+            "sobolev_ratios": {str(t): r for t, r in rep.sobolev_ratios.items()},
+            "max_ratio": max(rep.sobolev_ratios.values(), default=0.0),
+            "refinements": rep.refinements_used,
+        }
 
-    def task(item):
-        idx, comp = item
-        doc = None if input_docs is None else input_docs[idx]
-        return _solve_top_component(cfg, idx, comp, doc)
-
-    rows = parallel_map(task, tasks)
-    max_resid = max(r["residual_rel"] for r in rows)
+    rows = _solve_components(cfg, input_docs, None, solver.solve_top, row)
     ratios = [r["max_ratio"] for r in rows if r["max_ratio"] > 0]
     spread = (max(ratios) / min(ratios)) if ratios else 1.0
     # uniformity is reported, not gated: heterogeneous component mixes vary
     # legitimately with the Casimir sums (ratios are one-sided bounds)
-    passed = max_resid <= cfg.tol_residual
-    return Report(
-        command="solve-top",
-        passed=passed,
-        config_hash=config_hash(cfg),
-        seed=cfg.seed,
-        metadata={
-            "max_residual_rel": max_resid,
-            "ratio_spread": spread,
-            "uniformity_ok": spread <= 10.0,
-        },
-        components=rows,
-    )
+    return _solve_report(cfg, "solve-top", rows, ratio_spread=spread, uniformity_ok=spread <= 10.0)
 
 
-def _solve_form_component(
-    cfg: ExperimentConfig, idx: int, comp: ComponentConfig, degree: int, input_doc=None
-) -> dict:
-    params = cfg.multi_param(comp)
-    windows = tuple(default_window(p, cfg.k_per_axis) for p in params.factors)
-    if input_doc is not None:
-        w = serialize.form_from_json(input_doc, eps0=cfg.eps0, nu0=cfg.nu0)
-        if w.degree != degree:
-            raise ConfigError(f"input form has degree {w.degree}, requested {degree}")
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, idx]))
-        w, _ = generate.random_closed_form(params, windows, degree, rng)
-    eta, rep = forms.solve_primitive(w, cfg.solve_options())
-    fn0 = rep.f_norm0 if rep.f_norm0 > 0 else 1.0
-    return {
-        "param": comp.label,
-        "label": comp.label,
-        "factors": params.label(),
-        "degree": degree,
-        "residual_rel": rep.residual_interior / fn0,
-        "closedness_defect_rel": rep.kernel_defect / fn0,
-        "sobolev_ratios": {str(t): r for t, r in rep.sobolev_ratios.items()},
-        "max_ratio": max(rep.sobolev_ratios.values(), default=0.0),
-    }
+def _check_form_degree(cfg: ExperimentConfig, degree: int | None) -> None:
+    if degree is None or not 1 <= degree <= cfg.d - 1:
+        raise ConfigError(f"form degree {degree} is not in [1, d-1] = [1, {cfg.d - 1}]; "
+                          "top degree is solve-top's job")
 
 
 def cmd_solve_form(cfg: ExperimentConfig, degree: int, input_docs=None) -> Report:
-    d = cfg.d
-    if not 1 <= degree <= d - 1:
-        raise ConfigError(
-            f"degree must be in [1, d-1] = [1, {d - 1}]; top degree is solve-top's job"
-        )
-    if input_docs is not None and len(input_docs) != len(cfg.components):
-        raise ConfigError(
-            f"{len(input_docs)} inputs for {len(cfg.components)} components"
-        )
+    _check_form_degree(cfg, degree)
 
-    def task(item):
-        idx, comp = item
-        doc = None if input_docs is None else input_docs[idx]
-        return _solve_form_component(cfg, idx, comp, degree, doc)
+    def row(comp, w, rep, fn0):
+        return {
+            "param": comp.label,
+            "label": comp.label,
+            "factors": w.params.label(),
+            "degree": degree,
+            "residual_rel": rep.residual_interior / fn0,
+            "closedness_defect_rel": rep.kernel_defect / fn0,
+            "sobolev_ratios": {str(t): r for t, r in rep.sobolev_ratios.items()},
+            "max_ratio": max(rep.sobolev_ratios.values(), default=0.0),
+        }
 
-    rows = parallel_map(task, list(enumerate(cfg.components)))
-    max_resid = max(r["residual_rel"] for r in rows)
-    passed = max_resid <= cfg.tol_residual
-    return Report(
-        command="solve-form",
-        passed=passed,
-        config_hash=config_hash(cfg),
-        seed=cfg.seed,
-        metadata={"max_residual_rel": max_resid, "degree": degree},
-        components=rows,
-    )
+    rows = _solve_components(cfg, input_docs, degree, forms.solve_primitive, row)
+    return _solve_report(cfg, "solve-form", rows, degree=degree)
 
 
 # --- sweeps -------------------------------------------------------------------
@@ -523,20 +475,14 @@ def cmd_sweep_bounds(cfg: ExperimentConfig) -> Report:
     }
     slope_ok = abs(slope - (-1.5)) <= 0.1
     n1 = tables["dist_order_discrete"][0]
-    return Report(
-        command="sweep-bounds",
-        passed=slope_ok,
-        config_hash=config_hash(cfg),
-        seed=cfg.seed,
-        metadata={
-            "principal_slope": slope,
-            "principal_slope_expected": -1.5,
-            "principal_slope_ok": slope_ok,
-            "phi_blowup_exponent": blow_slope,
-            "discrete_n1_ratio": n1["ratio"],
-        },
-        tables=tables,
-    )
+    metadata = {
+        "principal_slope": slope,
+        "principal_slope_expected": -1.5,
+        "principal_slope_ok": slope_ok,
+        "phi_blowup_exponent": blow_slope,
+        "discrete_n1_ratio": n1["ratio"],
+    }
+    return _report(cfg, "sweep-bounds", slope_ok, metadata=metadata, tables=tables)
 
 
 # --- input generation ---------------------------------------------------------
@@ -544,25 +490,15 @@ def cmd_sweep_bounds(cfg: ExperimentConfig) -> Report:
 
 def cmd_gen(cfg: ExperimentConfig, kind: str, degree: int | None, out_dir) -> list[str]:
     """Write per-component random inputs (kernel tensors or closed forms)."""
-    import os
-
+    if kind == "tensor":
+        degree, save = None, serialize.save_tensor
+    elif kind == "form":
+        _check_form_degree(cfg, degree)
+        save = serialize.save_form
+    else:
+        raise ConfigError(f"unknown gen kind {kind!r} (want tensor|form)")
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    for idx, comp in enumerate(cfg.components):
-        params = cfg.multi_param(comp)
-        windows = tuple(default_window(p, cfg.k_per_axis) for p in params.factors)
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, idx]))
-        if kind == "tensor":
-            obj = generate.random_kernel_tensor(params, windows, rng)
-            path = os.path.join(out_dir, f"{comp.label}.tensor.json")
-            serialize.save_tensor(path, obj)
-        elif kind == "form":
-            if degree is None or not 1 <= degree <= params.d - 1:
-                raise ConfigError(f"gen form needs a degree in [1, {params.d - 1}]")
-            w, _ = generate.random_closed_form(params, windows, degree, rng)
-            path = os.path.join(out_dir, f"{comp.label}.form.json")
-            serialize.save_form(path, w)
-        else:
-            raise ConfigError(f"unknown gen kind {kind!r} (want tensor|form)")
-        paths.append(path)
+    paths = [os.path.join(out_dir, f"{comp.label}.{kind}.json") for comp in cfg.components]
+    for idx, (comp, path) in enumerate(zip(cfg.components, paths)):
+        save(path, _component_input(cfg, idx, comp, degree, None))
     return paths

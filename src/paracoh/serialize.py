@@ -153,6 +153,26 @@ def _coeffs_from_json(
     return arr
 
 
+def _list_field(doc: dict, key: str) -> list:
+    """A required non-empty list field of a document."""
+    if key not in doc:
+        raise SchemaError(f"missing field {key!r}")
+    if not isinstance(doc[key], list) or not doc[key]:
+        raise SchemaError(f"{key} must be a non-empty list, got {doc[key]!r}")
+    return doc[key]
+
+
+def _params_windows(
+    doc: dict, eps0: float, nu0: float
+) -> tuple[MultiParam, tuple[IndexWindow, ...]]:
+    """The factors and windows of a tensor or form document."""
+    factors = tuple(factor_from_json(o) for o in _list_field(doc, "factors"))
+    windows = tuple(window_from_json(o) for o in _list_field(doc, "windows"))
+    if len(factors) != len(windows):
+        raise SchemaError("factors and windows disagree in length")
+    return MultiParam(factors, eps0=eps0, nu0=nu0), windows
+
+
 def _check_version(doc: Any) -> None:
     if not isinstance(doc, dict):
         raise SchemaError("document must be a JSON object")
@@ -174,16 +194,10 @@ def tensor_to_json(f: TensorCoeffs) -> dict:
 
 def tensor_from_json(doc: Any, eps0: float = 0.05, nu0: float = 0.95) -> TensorCoeffs:
     _check_version(doc)
-    try:
-        factors = tuple(factor_from_json(o) for o in doc["factors"])
-        windows = tuple(window_from_json(o) for o in doc["windows"])
-    except KeyError as exc:
-        raise SchemaError(f"missing field {exc}") from exc
-    if len(factors) != len(windows):
-        raise SchemaError("factors and windows disagree in length")
-    params = MultiParam(factors, eps0=eps0, nu0=nu0)
-    arr = _coeffs_from_json(doc.get("coeffs", []), windows)
-    return TensorCoeffs(params, windows, arr)
+    params, windows = _params_windows(doc, eps0, nu0)
+    if "coeffs" not in doc:  # a form document, say, is not the zero tensor
+        raise SchemaError("missing field 'coeffs'")
+    return TensorCoeffs(params, windows, _coeffs_from_json(doc["coeffs"], windows))
 
 
 def form_to_json(w: LeafwiseForm) -> dict:
@@ -203,23 +217,22 @@ def form_from_json(doc: Any, eps0: float = 0.05, nu0: float = 0.95) -> LeafwiseF
     _check_version(doc)
     try:
         degree = json_int(doc["degree"])
-        factors = tuple(factor_from_json(o) for o in doc["factors"])
-        windows = tuple(window_from_json(o) for o in doc["windows"])
-        entries = doc["components"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad form document: {exc}") from exc
-    params = MultiParam(factors, eps0=eps0, nu0=nu0)
+    except (KeyError, ValueError) as exc:
+        raise SchemaError(f"bad form degree: {exc}") from exc
+    params, windows = _params_windows(doc, eps0, nu0)
+    entries = _list_field(doc, "components")
     comps = {}
     for e in entries:
         try:
             axes = tuple(json_int(a) - 1 for a in e["axes"])
+            coeffs = e["coeffs"]
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad component entry: {exc}") from exc
         if axes in comps:
             raise SchemaError(f"duplicate component {axes}")
         if any(not 0 <= a < params.d for a in axes) or tuple(sorted(axes)) != axes:
             raise SchemaError(f"bad axes tuple {[a + 1 for a in axes]}")
-        comps[axes] = _coeffs_from_json(e.get("coeffs", []), windows)
+        comps[axes] = _coeffs_from_json(coeffs, windows)
     try:
         return LeafwiseForm(degree, params, windows, comps)
     except ValueError as exc:
@@ -235,11 +248,13 @@ def save_json(path: str | os.PathLike, doc: dict, indent: int | None = 1) -> Non
 
 
 def load_json(path: str | os.PathLike) -> Any:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"{path} is not UTF-8 JSON: {exc}") from exc
 
 
 def save_tensor(path: str | os.PathLike, f: TensorCoeffs) -> None:

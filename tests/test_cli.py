@@ -2,11 +2,14 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
+from paracoh import ConfigError, SchemaError, experiments
 from paracoh.cli import EXIT_CONFIG, main
-from paracoh.config import config_hash, config_to_json, default_config
+from paracoh.config import config_hash, config_to_json, default_config, load_config
+from paracoh.serialize import form_from_json, load_json, tensor_from_json
 from tests.test_harness import _small_config
 
 
@@ -193,3 +196,132 @@ def test_valid_configs_keep_their_hash():
     # the range checks read the config; they change no field, so no hash
     assert config_hash(default_config()) == "a6c14b6cf024697a"
     assert config_hash(default_config(d=3, seed=7, k_per_axis=16)) == "bb3edc73f44ea946"
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b'{"components": [[1]]}', b'{"components": "ab"}',
+     b'{"components": [{"label": "c0", "factors": []}]}', b'{"components": [], "seed": "\xff"}'],
+    ids=["entry-not-object", "components-string", "no-factors", "not-utf8"],
+)
+def test_malformed_config_files_are_config_errors(tmp_path, capsys, raw):
+    path = tmp_path / "config.json"
+    path.write_bytes(raw)
+    with pytest.raises(ConfigError):
+        load_config(str(path))
+    assert main(["solve-top", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error:" in err and "Traceback" not in err
+
+
+def _gen_docs(tmp_path, cfg, kind, degree=None):
+    paths = experiments.cmd_gen(cfg, kind, degree, tmp_path / f"gen-{kind}")
+    return [json.loads(open(p).read()) for p in paths]
+
+
+def _solve_argv(tmp_path, cfg, kind, docs):
+    argv = ["solve-top"] if kind == "tensor" else ["solve-form", "--degree", "1"]
+    argv += ["--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]
+    for i, doc in enumerate(docs):
+        path = tmp_path / f"input{i}.json"
+        path.write_text(json.dumps(doc))
+        argv += ["--input", str(path)]
+    return argv
+
+
+NO_FACTORS = {"factors": [], "windows": []}
+
+
+@pytest.mark.parametrize(
+    "kind, bad",
+    [("tensor", {"factors": 5}), ("tensor", NO_FACTORS), ("tensor", {"windows": {"lo": 0}}),
+     ("form", {"factors": 5}), ("form", NO_FACTORS), ("form", {"components": 5}),
+     ("form", {"components": {"axes": [1]}})],
+    ids=["tensor-factors-int", "tensor-no-factors", "tensor-windows-object", "form-factors-int",
+         "form-no-factors", "form-components-int", "form-components-object"],
+)
+def test_malformed_input_documents_are_schema_errors(tmp_path, capsys, kind, bad):
+    cfg = _small_config(k=8)
+    docs = _gen_docs(tmp_path, cfg, kind, None if kind == "tensor" else 1)
+    docs[1].update(bad)
+    load = tensor_from_json if kind == "tensor" else form_from_json
+    with pytest.raises(SchemaError):
+        load(docs[1])
+    assert main(_solve_argv(tmp_path, cfg, kind, docs)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error:" in err and "Traceback" not in err
+
+
+def test_documents_without_coeffs_are_schema_errors(tmp_path, capsys):
+    # both once solved as zero inputs, exit 0
+    cfg = _small_config(k=8)
+    forms = _gen_docs(tmp_path, cfg, "form", 1)
+    assert main(_solve_argv(tmp_path, cfg, "tensor", forms)) == EXIT_CONFIG
+    assert "config error: missing field 'coeffs'" in capsys.readouterr().err
+    for comp in forms[0]["components"]:
+        del comp["coeffs"]
+    assert main(_solve_argv(tmp_path, cfg, "form", forms)) == EXIT_CONFIG
+    assert "config error: bad component entry: 'coeffs'" in capsys.readouterr().err
+
+
+def test_unreadable_input_files_are_schema_errors(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path, _small_config(k=8))
+    missing = tmp_path / "missing.json"
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"format_version": 1, "factors": "\xe9"}')
+    for path in (missing, latin1):
+        with pytest.raises(SchemaError):
+            load_json(path)
+        argv = ["solve-top", "--config", cfg_path, "--out", str(tmp_path)]
+        assert main(argv + ["--input", str(path)] * 3) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error:" in err and str(path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["tensor", "form"])
+def test_input_must_be_over_its_components_factors(tmp_path, capsys, kind):
+    cfg = _small_config(k=8)
+    docs = _gen_docs(tmp_path, cfg, kind, None if kind == "tensor" else 1)
+    swapped = [docs[1], docs[0], docs[2]]
+    assert main(_solve_argv(tmp_path, cfg, kind, swapped)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    c0, c1 = (cfg.multi_param(c).label() for c in cfg.components[:2])
+    assert "'c0'" in err and c0 in err and c1 in err
+    assert not (tmp_path / "out").exists()
+    # the file defines the windows: other windows over the same factors solve
+    wider = _gen_docs(tmp_path / "wider", replace(cfg, k_per_axis=10), kind,
+                      None if kind == "tensor" else 1)
+    assert main(_solve_argv(tmp_path, cfg, kind, wider)) == 0
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [["a", "b", "a"], ["a", "", "c"], ["a", 7, "c"], ["a", "sub/b", "c"], ["a", "b\u0000", "c"]],
+    ids=["duplicate", "empty", "not-a-string", "separator", "nul"],
+)
+def test_labels_gen_cannot_use_are_config_errors(tmp_path, capsys, labels):
+    doc = config_to_json(_small_config(k=8))
+    for comp, label in zip(doc["components"], labels):
+        comp["label"] = label
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "inputs"
+    assert main(["gen", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "config error: component label" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, fail_code",
+    [(["verify-invariants"], 2), (["sweep-bounds"], 2),
+     (["solve-top"], 4), (["solve-form", "--degree", "1"], 4)],
+)
+def test_report_exit_codes(tmp_path, monkeypatch, argv, fail_code):
+    command = "cmd_" + argv[0].replace("-", "_")
+    for passed, code in ((True, 0), (False, fail_code)):
+        report = experiments.Report(argv[0], passed, "0" * 16, 0)
+        monkeypatch.setattr(experiments, command, lambda *a, report=report, **k: report)
+        assert main(argv + ["--out", str(tmp_path)]) == code
+        doc = json.loads((tmp_path / f"{argv[0]}.json").read_text())
+        assert doc["passed"] is passed

@@ -183,6 +183,23 @@ def test_write_report_and_gen(tmp_path):
         cmd_gen(cfg, "spline", None, tmp_path)
 
 
+@pytest.mark.parametrize(
+    "d, degree, k",
+    [(1, None, 16), (2, None, 8), (3, None, 6), (2, 1, 8), (3, 2, 6)],
+)
+def test_gen_writes_the_inputs_a_solve_draws(tmp_path, d, degree, k):
+    # a solve without inputs and a solve of gen's files report the same bytes
+    cfg = default_config(d=d, seed=4, k_per_axis=k)
+    paths = cmd_gen(cfg, "tensor" if degree is None else "form", degree, tmp_path)
+    docs = [json.loads(open(p).read()) for p in paths]
+    if degree is None:
+        drawn, loaded = cmd_solve_top(cfg), cmd_solve_top(cfg, input_docs=docs)
+    else:
+        drawn, loaded = cmd_solve_form(cfg, degree), cmd_solve_form(cfg, degree, input_docs=docs)
+    assert drawn.passed
+    assert json.dumps(drawn.to_json()) == json.dumps(loaded.to_json())
+
+
 def test_default_config_runs():
     cfg = default_config(d=1, k_per_axis=16)
     report = cmd_solve_top(cfg)
