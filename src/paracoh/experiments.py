@@ -39,7 +39,7 @@ from .distributions import (
 from .errors import ConfigError, TailNotConverged
 from .params import IndexWindow, Kind, MultiParam, SeriesParam, default_window
 from .parallel import parallel_map
-from .repn import basis_norm_sq_array, u_matrix
+from .repn import apply_u_axis_array, basis_norm_sq_array, u_matrix
 
 try:  # package version for report metadata
     from importlib.metadata import version as _pkg_version
@@ -117,15 +117,30 @@ def invariance_defect(param: SeriesParam, k: int = 32) -> float:
 
 
 def skew_defect(param: SeriesParam, k: int = 128) -> float:
-    """Relative skew-adjointness defect of the generator over a window."""
+    """Relative skew-adjointness defect of the generator over a window.
+
+    P[j, l] = <U u(j), u(l)> is tridiagonal, so P + Pᴴ is formed on its
+    diagonal and superdiagonal only (the subdiagonal holds the conjugates
+    of the superdiagonal, and every other entry is 0).  The three diagonals
+    come from one stencil call on unit vectors three apart.
+    """
     win = default_window(param, k)
-    a, wout = u_matrix(param, win)
+    n = len(win)
+    cols = np.arange(n)
+    probe = np.zeros((3, n))
+    probe[cols % 3, cols] = 1.0
+    a, wout = apply_u_axis_array(probe, 1, param, win)
     w2o = basis_norm_sq_array(param, wout)
-    b = a * w2o[:, None]  # b[k_pos, j] = <U u(j), u(k)>
-    sel = slice(win.lo - wout.lo, win.hi - wout.lo + 1)
-    p = b[sel, :].T  # p[j, k] over the window
-    d = p + p.conj().T
-    scale = np.maximum(np.abs(p), np.abs(p.conj().T))
+    off = win.lo - wout.lo
+
+    def band(delta):  # P[j, j + delta] = (U u(j))(j + delta) ||u(j + delta)||^2
+        j = cols[max(0, -delta) : n - max(0, delta)]
+        rows = j + off + delta
+        return a[j % 3, rows] * w2o[rows]
+
+    diag, upper, lower = band(0), band(1), band(-1)
+    d = np.concatenate([diag + diag.conj(), upper + lower.conj()])
+    scale = np.concatenate([np.abs(diag), np.maximum(np.abs(upper), np.abs(lower))])
     return float(np.max(np.abs(d) / np.maximum(scale, 1.0)))
 
 

@@ -30,11 +30,15 @@ last-factor problem or of one amplitude, so an item gets the windows and the
 refinement count it gets when solved alone; results come back on the widest
 window, zero outside an earlier group's own.  Each g_i comes from one solve,
 so it is padded on axis i only and keeps f's windows elsewhere; it is
-returned and verified on those windows.
+returned and verified on those windows.  `verify_solution` never holds the
+residual on the hull of those windows: it sums it cell by cell, cutting the
+hull at f's window edges and skipping the cells no block reaches, where the
+residual is exactly zero.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -43,7 +47,7 @@ from scipy.linalg import lapack
 
 from . import tensor
 from .distributions import Sign, dist_values_array, phi, valid_signs
-from .errors import NoConvergence, NotInKernel
+from .errors import NoConvergence, NotInKernel, ParamMismatch
 from .params import IndexWindow, MultiParam, SeriesParam, expand_window
 from .repn import apply_u_axis_array, basis_norm_sq_array, basis_norm_sq_grid, sobolev_norm_array
 from .tensor import TensorCoeffs, norm0, tensor_sobolev_norm, valid_tags
@@ -434,20 +438,49 @@ def verify_solution(
     """Residual of sum_i U_i g_i - f at t=0, kernel defect of f, and the
     ratios ||g_i||_t / ||f||_{sigma_d(t)}.
 
-    Each g_i is used on its own windows.  -f, U_0 g_0, ..., U_{d-1} g_{d-1}
-    are added in that order into one array on the hull of their windows,
-    and the residual is taken over that whole hull; truncated
+    Each g_i is used on its own windows and must be over f's factors.  The
+    residual is taken over the whole hull of the windows; truncated
     kernel-consistent systems are exactly solvable, so no edge region is
-    excluded.
+    excluded.  It is never held on that hull: each axis of the hull is cut
+    at f's window edges, and each cell of the cut that some block touches
+    gets -f, U_0 g_0, ..., U_{d-1} g_{d-1} added in that order, in place,
+    before its squared norm joins the total.  Every residual entry is the
+    sum the whole hull would hold; only the grouping of the final sum
+    differs.  The cut depends on f and the hull alone, so zero-filling the
+    g_i into larger windows with the same hull leaves the residual bitwise
+    unchanged.
     """
     if len(g_list) != f.d:
         raise ValueError(f"expected {f.d} primitives, got {len(g_list)}")
+    for i, g in enumerate(g_list):
+        if g.params != f.params:
+            raise ParamMismatch(f"g_{i} is over {g.params.label()}, f over {f.params.label()}")
     terms = [tensor.apply_U_factor(g, i) for i, g in enumerate(g_list)]
     wins = tensor.hull(f.windows, *(u.windows for u in terms))
-    resid = np.zeros(tuple(len(w) for w in wins), dtype=np.complex128)
-    resid[tensor.sub_slices(f.windows, wins)] -= f.coeffs
-    for u in terms:
-        resid[tensor.sub_slices(u.windows, wins)] += u.coeffs
+    cuts = [  # below f, f, above f on each axis
+        [
+            IndexWindow(lo, hi)
+            for lo, hi in ((h.lo, w.lo - 1), (w.lo, w.hi), (w.hi + 1, h.hi))
+            if lo <= hi
+        ]
+        for w, h in zip(f.windows, wins)
+    ]
+    blocks = [(np.subtract, f)] + [(np.add, u) for u in terms]
+    resid_sq = 0.0
+    for cell in itertools.product(*cuts):
+        touching = [
+            (op, b)
+            for op, b in blocks
+            if all(w.lo <= c.hi and c.lo <= w.hi for w, c in zip(b.windows, cell))
+        ]
+        if not touching:  # the residual is exactly zero here
+            continue
+        acc = np.zeros(tuple(len(c) for c in cell), dtype=np.complex128)
+        for op, b in touching:
+            common = tuple(w.intersect(c) for w, c in zip(b.windows, cell))
+            view = acc[tensor.sub_slices(common, cell)]
+            op(view, b.coeffs[tensor.sub_slices(common, b.windows)], out=view)
+        resid_sq += sobolev_norm_array(f.params.factors, cell, acc, 0.0) ** 2
     fn0 = norm0(f)
     kernel_defect = max(tensor.kernel_defects(f).values(), default=0.0)
     ratios = {}
@@ -455,7 +488,7 @@ def verify_solution(
         denom = tensor_sobolev_norm(f, sigma_schedule(t, f.d))
         num = max((tensor_sobolev_norm(g, t) for g in g_list), default=0.0)
         ratios[t] = num / denom if denom > 0 else 0.0
-    return SolveReport(norm0(TensorCoeffs(f.params, wins, resid)), fn0, kernel_defect, ratios, 0)
+    return SolveReport(float(np.sqrt(resid_sq)), fn0, kernel_defect, ratios, 0)
 
 
 # --- obstruction probes ------------------------------------------------------

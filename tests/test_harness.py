@@ -1,6 +1,8 @@
 """Experiment commands: suites pass, reports are deterministic, gates gate."""
 
+import importlib.util
 import json
+import os
 
 import pytest
 
@@ -204,3 +206,37 @@ def test_default_config_runs():
     cfg = default_config(d=1, k_per_axis=16)
     report = cmd_solve_top(cfg)
     assert report.passed  # d=1 reduces to the degree-1 report
+
+
+def _report_diff():
+    path = os.path.join(os.path.dirname(__file__), "..", "tools", "report_diff.py")
+    spec = importlib.util.spec_from_file_location("report_diff", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_report_diff_lists_moved_fields(tmp_path, capsys):
+    a, b = tmp_path / "a" / "seed0", tmp_path / "b" / "seed0"
+    a.mkdir(parents=True)
+    b.mkdir(parents=True)
+    doc = {"metadata": {"max_residual_rel": 2.0, "command": "solve-top"}, "components": [{"k": 1}]}
+    (a / "r.json").write_text(json.dumps(doc))
+    doc["metadata"]["max_residual_rel"] = 2.5
+    doc["components"].append({"k": 2})
+    (b / "r.json").write_text(json.dumps(doc))
+    (a / "t.csv").write_text("param,value\np,1.5\n")
+    (b / "t.csv").write_text("param,value\np,1.5\n")
+    (b / "extra.json").write_text("{}")
+    tool = _report_diff()
+    assert tool.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "seed0/extra.json  missing in A",
+        "seed0/r.json  metadata.max_residual_rel  2.0 -> 2.5  rel 0.2",
+        "seed0/r.json  components[1]  '<absent>' -> {'k': 2}",
+        "2 files compared, 1 differ, 2 leaves differ, 1 missing",
+    ]
+    (b / "extra.json").unlink()
+    assert tool.main([str(tmp_path / "a"), str(tmp_path / "a")]) == 0
+    assert capsys.readouterr().out == "2 files compared, 0 differ, 0 leaves differ, 0 missing\n"

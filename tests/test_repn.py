@@ -29,6 +29,7 @@ from paracoh import (
     tensor_sobolev_norm,
     weight_Q,
 )
+from paracoh.experiments import skew_defect
 from paracoh.params import Kind
 from paracoh.rational import u_action_exact
 from paracoh.repn import basis_norm_sq_array, sobolev_norm_array, u_matrix, weight_grids
@@ -165,6 +166,13 @@ def _skew_defect(p: SeriesParam, k: int) -> float:
 def test_skew_adjointness_grid(grid):
     for p in grid:
         assert _skew_defect(p, 64) <= 1e-12, p.label()
+
+
+@pytest.mark.parametrize("k", [16, 64, 128])
+def test_banded_skew_defect_matches_dense(grid, k):
+    # the report's banded check reads the same value as the dense matrices
+    for p in grid:
+        assert skew_defect(p, k) == _skew_defect(p, k), p.label()
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,6 +10,7 @@ from paracoh import (
     MultiParam,
     NoConvergence,
     NotInKernel,
+    ParamMismatch,
     SeriesParam,
     Sign,
     SolveOptions,
@@ -23,6 +24,7 @@ from paracoh.generate import (
     random_coboundary_tensor,
     random_coboundary_vector,
     random_kernel_tensor,
+    random_tensor,
 )
 from paracoh.params import IndexWindow, expand_window
 from paracoh.repn import basis_norm_sq_array, u_matrix
@@ -301,6 +303,103 @@ def test_verify_solution_edges(rng):
     ft = phi_tensor(mp, (Sign.PLUS, Sign.PLUS), wins)
     rep2 = verify_solution(ft, zeros)
     assert rep2.kernel_defect == pytest.approx(1.0)  # reported, not raised
+
+
+def _hull_residual(f, g_list):
+    """Reference: -f, U_0 g_0, ..., U_{d-1} g_{d-1} added on one hull array."""
+    terms = [apply_U_factor(g, i) for i, g in enumerate(g_list)]
+    wins = pc.tensor.hull(f.windows, *(u.windows for u in terms))
+    resid = np.zeros(tuple(len(w) for w in wins), dtype=np.complex128)
+    resid[pc.tensor.sub_slices(f.windows, wins)] -= f.coeffs
+    for u in terms:
+        resid[pc.tensor.sub_slices(u.windows, wins)] += u.coeffs
+    return norm0(TensorCoeffs(f.params, wins, resid))
+
+
+_TOP_D4 = (
+    SeriesParam.principal(1.0),
+    SeriesParam.complementary(0.9),
+    SeriesParam.discrete(1),
+    SeriesParam.principal(3.0),
+)
+
+
+@pytest.mark.parametrize(
+    "factors, k",
+    [
+        ((SeriesParam.complementary(0.5),), 32),
+        ((SeriesParam.principal(1.0), SeriesParam.discrete(2)), 12),
+        ((SeriesParam.principal(1.0), SeriesParam.complementary(0.5), SeriesParam.discrete(2)), 6),
+        (_TOP_D4, 4),
+    ],
+    ids=lambda v: f"d{len(v)}" if isinstance(v, tuple) else f"K{v}",
+)
+def test_verify_residual_matches_hull_on_solver_windows(factors, k, rng):
+    mp = MultiParam(factors)
+    f = random_kernel_tensor(mp, tuple(default_window(p, k) for p in factors), rng)
+    g_list, rep = solve_top(f)
+    ref = _hull_residual(f, g_list)
+    assert ref > 0.0
+    assert rep.residual_interior == pytest.approx(ref, rel=1e-14, abs=0.0)
+    assert verify_solution(f, g_list).residual_interior == rep.residual_interior
+
+
+def test_verify_residual_matches_hull_on_irregular_windows(rng):
+    factors = (SeriesParam.principal(1.0), SeriesParam.complementary(0.5), SeriesParam.discrete(2))
+    mp = MultiParam(factors)
+    fw = (IndexWindow(-4, 4), IndexWindow(-3, 5), IndexWindow(2, 8))
+    f = random_kernel_tensor(mp, fw, rng)
+    cases = {
+        # g_0 misses part of f's window on axes 1 and 2
+        "narrower": (
+            (IndexWindow(-6, 6), IndexWindow(-1, 3), IndexWindow(4, 8)),
+            fw,
+            fw,
+        ),
+        # g_0 lies beside f on axis 0, g_1 reaches past f above only (axis 1),
+        # g_2 past f below only (axis 0) and short of f on axis 2
+        "one-sided": (
+            (IndexWindow(6, 9), IndexWindow(-3, 5), IndexWindow(2, 8)),
+            (IndexWindow(-4, 4), IndexWindow(-3, 11), IndexWindow(2, 8)),
+            (IndexWindow(-7, 4), IndexWindow(-3, 5), IndexWindow(2, 5)),
+        ),
+    }
+    for name, wins in cases.items():
+        g_list = [random_tensor(mp, w, rng) for w in wins]
+        ref = _hull_residual(f, g_list)
+        got = verify_solution(f, g_list).residual_interior
+        assert got == pytest.approx(ref, rel=1e-14, abs=0.0), name
+    zeros = [pc.tensor.zeros(mp, w) for w in cases["one-sided"]]
+    assert verify_solution(f, zeros).residual_interior == pytest.approx(
+        _hull_residual(f, zeros), rel=1e-14, abs=0.0
+    )
+
+
+def test_verify_rejects_mismatched_factors(rng):
+    mp = MultiParam((SeriesParam.principal(1.0), SeriesParam.complementary(0.5)))
+    f = random_kernel_tensor(mp, tuple(default_window(p, 8) for p in mp.factors), rng)
+    g_list, _ = solve_top(f)
+    other = MultiParam((SeriesParam.principal(2.0), SeriesParam.complementary(0.5)))
+    relabelled = [TensorCoeffs(other, g.windows, g.coeffs) for g in g_list]
+    with pytest.raises(ParamMismatch):
+        verify_solution(f, relabelled)
+    with pytest.raises(ParamMismatch):
+        verify_solution(f, [g_list[0], relabelled[1]])
+
+
+def test_verify_memory_stays_on_the_residual_support(rng):
+    # top_d4's hull holds 3.45M entries (55 MB); the residual's support ~0.39M
+    mp = MultiParam(_TOP_D4)
+    f = random_kernel_tensor(mp, tuple(default_window(p, 8) for p in mp.factors), rng)
+    g_list, rep = solve_top(f)
+    tracemalloc.start()
+    try:
+        rep_again = verify_solution(f, g_list)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep_again.residual_interior == rep.residual_interior
+    assert peak < 32 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
 
 
 def test_regularity_check(rng):

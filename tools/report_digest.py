@@ -7,12 +7,20 @@ The set is the built-in default config at d = 1, 2, 3 with seeds 0, 1, 2:
     sweep-bounds       d=2
     solve-form         --degree 1 at d=2, --degree 2 at d=3
 
-Reports go to a temporary directory that is removed afterwards; file names
-are printed relative to it.  Two checkouts whose outputs are identical write
-byte-identical reports for this set:
+Reports go to a temporary directory that is removed afterwards, or to DIR
+with `--keep DIR`, which keeps them; file names are printed relative to it.
+Two checkouts whose outputs are identical write byte-identical reports for
+this set:
 
     python3 tools/report_digest.py > after.txt
     diff before.txt after.txt
+
+When the hashes differ, keep both sets and list the fields that moved with
+`tools/report_diff.py`:
+
+    python3 tools/report_digest.py --keep /tmp/reports-before  # in the other checkout
+    python3 tools/report_digest.py --keep /tmp/reports-after
+    python3 tools/report_diff.py /tmp/reports-before /tmp/reports-after
 
 The package is imported from the `src/` next to this script, so running the
 copy in another checkout hashes that checkout's code.
@@ -20,6 +28,8 @@ copy in another checkout hashes that checkout's code.
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import hashlib
 import os
 import sys
@@ -44,8 +54,18 @@ RUNS = [
 SEEDS = (0, 1, 2)
 
 
-def main() -> int:
-    with tempfile.TemporaryDirectory(prefix="report-digest-") as root:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--keep", metavar="DIR", help="write the reports to DIR and keep them")
+    args = parser.parse_args(argv)
+    if args.keep:
+        if os.path.isdir(args.keep) and os.listdir(args.keep):
+            parser.error(f"--keep {args.keep}: directory is not empty")
+        os.makedirs(args.keep, exist_ok=True)
+        where = contextlib.nullcontext(args.keep)
+    else:
+        where = tempfile.TemporaryDirectory(prefix="report-digest-")
+    with where as root:
         for seed in SEEDS:
             for name, d, k, command in RUNS:
                 cfg = default_config(d=d, seed=seed, k_per_axis=k)
