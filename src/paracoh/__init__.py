@@ -9,7 +9,7 @@ behavior the estimates predict.
 """
 
 from .params import IndexWindow, Kind, MultiParam, SeriesParam, default_window
-from .repn import basis_norm_sq, casimir_mu, weight_Q
+from .repn import basis_norm_sq
 from .distributions import (
     Sign,
     dist_basis_value,
@@ -71,8 +71,6 @@ __all__ = [
     "SeriesParam",
     "default_window",
     "basis_norm_sq",
-    "casimir_mu",
-    "weight_Q",
     "Sign",
     "dist_basis_value",
     "dist_order_sum",

@@ -31,7 +31,7 @@ from scipy.sparse.linalg import lsmr
 
 from . import repn, tensor
 from .errors import InvalidIndex, NoConvergence, NotClosed, ThetaNotVanishing
-from .params import IndexWindow, MultiParam, expand_window
+from .params import IndexWindow, MultiParam, check_window, expand_window
 from .solver import (
     SolveOptions,
     SolveReport,
@@ -64,6 +64,8 @@ class LeafwiseForm:
             )
         windows = tuple(self.windows)
         object.__setattr__(self, "windows", windows)
+        for p, w in zip(self.params.factors, windows):
+            check_window(p, w)
         shape = tuple(len(w) for w in windows)
         comps = {}
         for axes, arr in self.components.items():
@@ -164,12 +166,13 @@ def restrict_form(w: LeafwiseForm, axis: int, k: int) -> LeafwiseForm:
     )
 
 
-def varsigma_schedule(
-    t: float, d: int, base: float = 4.0, s1: float = 3.0, c: float = 0.5
-) -> float:
+VARSIGMA_2 = 4.0
+
+
+def varsigma_schedule(t: float, d: int) -> float:
     """Sobolev loss for lower-degree primitives.
 
-    Two factors: t + base.  Above that the recursion takes the max of
+    Two factors: t + VARSIGMA_2.  Above that the recursion takes the max of
     vs_{d-1}(vs_{d-1}(t)+t+1), vs_{d-1}(t)+t, and sigma_{d-1}(t)+t.
     """
     if t <= 0:
@@ -177,11 +180,11 @@ def varsigma_schedule(
     if d < 2:
         raise ValueError(f"needs d >= 2, got {d}")
     if d == 2:
-        return t + base
-    inner = varsigma_schedule(t, d - 1, base, s1, c)
-    a = varsigma_schedule(inner + t + 1.0, d - 1, base, s1, c)
+        return t + VARSIGMA_2
+    inner = varsigma_schedule(t, d - 1)
+    a = varsigma_schedule(inner + t + 1.0, d - 1)
     b = inner + t
-    top = sigma_schedule(t, d - 1, s1, c) + t
+    top = sigma_schedule(t, d - 1) + t
     return max(a, b, top)
 
 

@@ -16,8 +16,7 @@ of a dense array; `u_matrix` (the stencil on the identity) is a view of it.
 `sobolev_norm_array` is the one Sobolev norm, on arrays over any factor
 tuple, with leading axes a batch; it needs no `MultiParam`, so it also
 serves parameters outside the product gates.  The scalar `basis_norm_sq`
-and `weight_Q` read their array twins, and `casimir_mu` is an alias of
-`SeriesParam.mu`.
+reads its array twin.
 """
 
 from __future__ import annotations
@@ -27,17 +26,6 @@ from functools import reduce
 import numpy as np
 
 from .params import IndexWindow, Kind, SeriesParam, check_window, expand_window
-
-
-def casimir_mu(param: SeriesParam) -> float:
-    """Casimir eigenvalue (1 - nu^2)/4."""
-    return param.mu
-
-
-def weight_Q(param: SeriesParam, k: int) -> float:
-    """Sobolev weight Q(k) = mu + 2k^2 (scalar view of weight_q_array)."""
-    param.check_index(k)
-    return float(weight_q_array(param, k))
 
 
 def weight_q_array(param: SeriesParam, ks: np.ndarray) -> np.ndarray:

@@ -2,24 +2,25 @@
 
 One document per object.  Tensors:
 
-    {"format_version": 1,
+    {"format_version": 2,
      "factors": [{"kind": "principal", "nu_im": 2.0} |
                  {"kind": "complementary", "nu": 0.5} |
                  {"kind": "discrete", "n": 1}, ...],
      "windows": [{"lo": -64, "hi": 64}, ...],
-     "coeffs": [{"k": [0, 1], "re": ..., "im": ...}, ...]}
+     "coeffs": {"index": [5, ...], "re": [...], "im": [...]}}
 
-Coefficients are sparse (nonzero entries only, sorted by index tuple) and
-round-trip bit-exactly.  Forms add "degree" and per-component documents
-under "components", with 1-based "axes".  Loads validate kinds, windows,
-index membership, finiteness, and the format version; the entries are
-checked and scattered as whole arrays.  Tensor and form files are written
+Coefficients are sparse and columnar: "index" holds the C-order flat offset
+of each nonzero entry in the box of the windows, strictly increasing, so
+the layout is canonical and round-trips bit-exactly.  Forms add "degree"
+and per-component documents under "components", with 1-based "axes".
+Loads validate kinds, windows (against each factor's index set), the
+coefficient lists as whole lists, finiteness, and the format version; there
+is no reader for any other version.  Tensor and form files are written
 compact, by json's C encoder; reports keep indent=1.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -27,12 +28,12 @@ from typing import Any
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import InvalidIndex, SchemaError
 from .forms import LeafwiseForm
-from .params import IndexWindow, Kind, MultiParam, SeriesParam
+from .params import IndexWindow, Kind, MultiParam, SeriesParam, check_window
 from .tensor import TensorCoeffs
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def json_int(value: Any) -> int:
@@ -95,61 +96,38 @@ def window_from_json(obj: Any) -> IndexWindow:
         raise SchemaError(f"bad window entry {obj!r}: {exc}") from exc
 
 
-def _coeffs_to_json(arr: np.ndarray, windows: tuple[IndexWindow, ...]) -> list[dict]:
-    idx = np.nonzero(arr)  # C order: sorted by index tuple
-    ks = np.stack([i + w.lo for i, w in zip(idx, windows)], axis=1).tolist()
-    vals = arr[idx]
-    return [
-        {"k": k, "re": re, "im": im}
-        for k, re, im in zip(ks, vals.real.tolist(), vals.imag.tolist())
-    ]
+def _coeffs_to_json(arr: np.ndarray) -> dict:
+    index = np.flatnonzero(arr)  # C-order offsets, increasing
+    vals = arr.reshape(-1)[index]
+    return {"index": index.tolist(), "re": vals.real.tolist(), "im": vals.imag.tolist()}
 
 
-def _coeffs_from_json(
-    entries: Any, windows: tuple[IndexWindow, ...]
-) -> np.ndarray:
-    """Dense coefficients from the sparse entries, validated as whole arrays."""
-    shape = tuple(len(w) for w in windows)
-    arr = np.zeros(shape, dtype=np.complex128)
-    if not isinstance(entries, list):
-        raise SchemaError("coeffs must be a list")
-    if not entries:
-        return arr
-    try:
-        ks = [e["k"] for e in entries]
-        re = [e["re"] for e in entries]
-        im = [e["im"] for e in entries]
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"bad coefficient entry: {exc!r}") from exc
-    if set(map(type, ks)) != {list} or set(map(len, ks)) != {len(windows)}:
-        raise SchemaError(f"every index must be a list of {len(windows)} integers")
-    flat = list(itertools.chain.from_iterable(ks))
-    numbers = {int, float}  # type(), not isinstance: bools and strings are rejected
-    if not set(map(type, flat)) <= numbers:
-        raise SchemaError("indices must be integers")
-    if not (set(map(type, re)) | set(map(type, im))) <= numbers:
+def _coeffs_from_json(obj: Any, windows: tuple[IndexWindow, ...]) -> np.ndarray:
+    """Dense coefficients from the columnar lists, validated as whole lists."""
+    if not isinstance(obj, dict) or set(obj) != {"index", "re", "im"}:
+        raise SchemaError("coeffs must be an object with exactly the keys index, re, im")
+    index, re, im = obj["index"], obj["re"], obj["im"]
+    lists = all(isinstance(c, list) for c in (index, re, im))
+    if not lists or not len(index) == len(re) == len(im):
+        raise SchemaError("coeffs index, re and im must be lists of equal length")
+    # type(), not isinstance: bools, and floats among the indices, are rejected
+    if not set(map(type, index)) <= {int}:
+        raise SchemaError("coefficient indices must be integers")
+    if not (set(map(type, re)) | set(map(type, im))) <= {int, float}:
         raise SchemaError("coefficient values must be numbers")
+    arr = np.zeros(tuple(map(len, windows)), dtype=np.complex128)
     try:
-        kf = np.array(flat, dtype=np.float64).reshape(len(ks), len(windows))
-        vals = np.empty(len(entries), dtype=np.complex128)
+        pos = np.array(index, dtype=np.int64)
+        vals = np.empty(len(pos), dtype=np.complex128)
         vals.real = re
         vals.imag = im
     except OverflowError as exc:
         raise SchemaError(f"number out of range: {exc}") from exc
-    if not np.all(kf == np.trunc(kf)):  # also false for inf and nan
-        raise SchemaError("indices must be integers")
     if not np.all(np.isfinite(vals)):
         raise SchemaError("non-finite coefficient value")
-    lo = np.array([w.lo for w in windows], dtype=np.float64)
-    hi = np.array([w.hi for w in windows], dtype=np.float64)
-    outside = np.flatnonzero(np.any((kf < lo) | (kf > hi), axis=1))
-    if len(outside):
-        bounds = [[w.lo, w.hi] for w in windows]
-        raise SchemaError(f"index {ks[outside[0]]} outside windows {bounds}")
-    pos = tuple((kf - lo).astype(np.intp).T)
-    if np.unique(np.ravel_multi_index(pos, shape)).size != len(entries):
-        raise SchemaError("duplicate coefficient index")
-    arr[pos] = vals
+    if len(pos) and not (0 <= pos[0] and pos[-1] < arr.size and np.all(pos[1:] > pos[:-1])):
+        raise SchemaError(f"coefficient indices must increase strictly within [0, {arr.size})")
+    arr.reshape(-1)[pos] = vals
     return arr
 
 
@@ -170,6 +148,11 @@ def _params_windows(
     windows = tuple(window_from_json(o) for o in _list_field(doc, "windows"))
     if len(factors) != len(windows):
         raise SchemaError("factors and windows disagree in length")
+    try:
+        for p, w in zip(factors, windows):
+            check_window(p, w)
+    except InvalidIndex as exc:
+        raise SchemaError(str(exc)) from exc
     return MultiParam(factors, eps0=eps0, nu0=nu0), windows
 
 
@@ -188,7 +171,7 @@ def tensor_to_json(f: TensorCoeffs) -> dict:
         "format_version": FORMAT_VERSION,
         "factors": [factor_to_json(p) for p in f.params.factors],
         "windows": [{"lo": w.lo, "hi": w.hi} for w in f.windows],
-        "coeffs": _coeffs_to_json(f.coeffs, f.windows),
+        "coeffs": _coeffs_to_json(f.coeffs),
     }
 
 
@@ -207,7 +190,7 @@ def form_to_json(w: LeafwiseForm) -> dict:
         "factors": [factor_to_json(p) for p in w.params.factors],
         "windows": [{"lo": win.lo, "hi": win.hi} for win in w.windows],
         "components": [
-            {"axes": [a + 1 for a in axes], "coeffs": _coeffs_to_json(arr, w.windows)}
+            {"axes": [a + 1 for a in axes], "coeffs": _coeffs_to_json(arr)}
             for axes, arr in sorted(w.components.items())
         ],
     }

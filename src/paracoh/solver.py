@@ -87,16 +87,22 @@ class SolveReport:
     refinements_used: int = 0
 
 
-def sigma_schedule(t: float, d: int, s1: float = 3.0, c: float = 0.5) -> float:
-    """Sobolev loss for the top-degree solve: sigma_1 = t + s1, then
-    sigma_d = 2(sigma_{d-1} + t) + c."""
+# SPLIT_C is both what each level of `sigma_schedule` adds and the order
+# 2t + SPLIT_C at which `regularity_array` measures f.
+SIGMA_1 = 3.0
+SPLIT_C = 0.5
+
+
+def sigma_schedule(t: float, d: int) -> float:
+    """Sobolev loss for the top-degree solve: sigma_1 = t + SIGMA_1, then
+    sigma_d = 2(sigma_{d-1} + t) + SPLIT_C."""
     if t <= 0:
         raise ValueError(f"needs t > 0, got {t}")
     if d < 1:
         raise ValueError(f"needs d >= 1, got {d}")
-    sigma = t + s1
+    sigma = t + SIGMA_1
     for _ in range(d - 1):
-        sigma = 2.0 * (sigma + t) + c
+        sigma = 2.0 * (sigma + t) + SPLIT_C
     return sigma
 
 
@@ -294,9 +300,8 @@ def regularity_array(
     windows: tuple[IndexWindow, ...],
     arr: np.ndarray,
     t: float,
-    c: float = 0.5,
 ) -> np.ndarray:
-    """Diagnostic ratios ||f_otimes||_t / ||f||_{2t+c}, one per item of arr.
+    """Diagnostic ratios ||f_otimes||_t / ||f||_{2t+SPLIT_C}, one per item of arr.
 
     The windows index the trailing axes; leading axes are a batch.  An
     item with ||f|| = 0 has ratio 0.
@@ -305,15 +310,15 @@ def regularity_array(
         raise ValueError("needs d >= 2")
     if t <= 0:
         raise ValueError(f"needs t > 0, got {t}")
-    denom = sobolev_norm_array(factors, windows, arr, 2.0 * t + c)
+    denom = sobolev_norm_array(factors, windows, arr, 2.0 * t + SPLIT_C)
     _, f_ot = _split_last(factors[-1], windows[-1], arr)
     num = sobolev_norm_array(factors, windows, f_ot, t)
     return np.divide(num, denom, out=np.zeros_like(num), where=denom != 0.0)
 
 
-def regularity_check(f: TensorCoeffs, t: float, c: float = 0.5) -> float:
-    """Diagnostic ratio ||f_otimes||_t / ||f||_{2t+c}."""
-    return float(regularity_array(f.params.factors, f.windows, f.coeffs[None], t, c)[0])
+def regularity_check(f: TensorCoeffs, t: float) -> float:
+    """Diagnostic ratio ||f_otimes||_t / ||f||_{2t+SPLIT_C}."""
+    return float(regularity_array(f.params.factors, f.windows, f.coeffs[None], t)[0])
 
 
 # --- top-degree recursion ---------------------------------------------------

@@ -35,7 +35,7 @@ from paracoh.generate import (
 )
 from paracoh.params import Kind
 from paracoh.rational import dist_invariance_defect_exact, pairing_matrix_exact
-from paracoh.repn import weight_Q
+from paracoh.repn import weight_q_array
 from paracoh.solver import least_squares_probe, obstruction_certificate, split
 from paracoh.tensor import (
     TensorCoeffs,
@@ -281,7 +281,7 @@ def test_criterion_09_projection_and_regularity():
                 )
             for k in wins[0].indices():
                 r = pc.restrict(f, {0: int(k)})
-                lhs2 += (1 + weight_Q(mp.factors[0], int(k))) ** tau * (
+                lhs2 += (1 + weight_q_array(mp.factors[0], int(k))) ** tau * (
                     tensor_sobolev_norm(r, sig) ** 2
                 )
             rhs2 = tensor_sobolev_norm(f, tau + sig) ** 2

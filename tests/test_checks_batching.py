@@ -89,7 +89,7 @@ def _ref_projection_rows(seed, count=24, k=12):
             lhs = 0.0
             for kk in windows[0].indices():
                 r = tensor.restrict(f, {0: int(kk)})
-                q = repn.weight_Q(params.factors[0], int(kk))
+                q = repn.weight_q_array(params.factors[0], int(kk))
                 lhs += (1.0 + q) ** tau * _ref_norm(r, sig) ** 2
             rhs = _ref_norm(f, tau + sig) ** 2
             worst_two = max(worst_two, (lhs - rhs) / max(rhs, 1e-300))
@@ -115,7 +115,7 @@ def _ref_projection_excess(params, windows, fs, tau, sig):
             worst_one = max(worst_one, excess / max(norm_tau, 1e-300))
         lhs = 0.0
         for kk in windows[0].indices():
-            q = repn.weight_Q(params.factors[0], int(kk))
+            q = repn.weight_q_array(params.factors[0], int(kk))
             lhs += (1.0 + q) ** tau * _ref_norm(tensor.restrict(f, {0: int(kk)}), sig) ** 2
         rhs = _ref_norm(f, tau + sig) ** 2
         worst_two = max(worst_two, (lhs - rhs) / max(rhs, 1e-300))

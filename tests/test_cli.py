@@ -230,15 +230,20 @@ def _solve_argv(tmp_path, cfg, kind, docs):
 
 
 NO_FACTORS = {"factors": [], "windows": []}
+# c1 is principal(2) x discrete(1): its second window starts below the lowest weight
+LOW_WINDOW = {"windows": [{"lo": -8, "hi": 8}, {"lo": 0, "hi": 8}]}
 
 
 @pytest.mark.parametrize(
     "kind, bad",
     [("tensor", {"factors": 5}), ("tensor", NO_FACTORS), ("tensor", {"windows": {"lo": 0}}),
      ("form", {"factors": 5}), ("form", NO_FACTORS), ("form", {"components": 5}),
-     ("form", {"components": {"axes": [1]}})],
+     ("form", {"components": {"axes": [1]}}), ("tensor", LOW_WINDOW), ("form", LOW_WINDOW),
+     ("tensor", {"format_version": 1}), ("form", {"format_version": 1})],
     ids=["tensor-factors-int", "tensor-no-factors", "tensor-windows-object", "form-factors-int",
-         "form-no-factors", "form-components-int", "form-components-object"],
+         "form-no-factors", "form-components-int", "form-components-object",
+         "tensor-window-below-lowest-weight", "form-window-below-lowest-weight",
+         "tensor-format-1", "form-format-1"],
 )
 def test_malformed_input_documents_are_schema_errors(tmp_path, capsys, kind, bad):
     cfg = _small_config(k=8)

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import sys
 
 import pytest
 
@@ -208,12 +209,30 @@ def test_default_config_runs():
     assert report.passed  # d=1 reduces to the degree-1 report
 
 
-def _report_diff():
-    path = os.path.join(os.path.dirname(__file__), "..", "tools", "report_diff.py")
-    spec = importlib.util.spec_from_file_location("report_diff", path)
+def _script(folder, name):
+    """Import folder/name.py from the repo root without running its main."""
+    path = os.path.join(os.path.dirname(__file__), "..", folder, f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
+
+
+def _report_diff():
+    return _script("tools", "report_diff")
+
+
+def test_layertrace_hooks_name_package_attributes():
+    # a deleted or renamed hooked name fails every traced benchmark run
+    hooks = _script("benchmarks", "layertrace").HOOKS
+    assert len(hooks) > 40
+    missing = [
+        f"paracoh.{h.module}.{h.attr}"
+        for h in hooks
+        if not hasattr(importlib.import_module(f"paracoh.{h.module}"), h.attr)
+    ]
+    assert missing == []
 
 
 def test_report_diff_lists_moved_fields(tmp_path, capsys):

@@ -23,16 +23,20 @@ from paracoh import (
     apply_U_factor,
     basis_norm_sq,
     basis_vector,
-    casimir_mu,
     default_window,
     inner_product,
     tensor_sobolev_norm,
-    weight_Q,
 )
 from paracoh.experiments import skew_defect
 from paracoh.params import Kind
 from paracoh.rational import u_action_exact
-from paracoh.repn import basis_norm_sq_array, sobolev_norm_array, u_matrix, weight_grids
+from paracoh.repn import (
+    basis_norm_sq_array,
+    sobolev_norm_array,
+    u_matrix,
+    weight_grids,
+    weight_q_array,
+)
 from paracoh.tensor import zeros
 
 
@@ -48,17 +52,15 @@ def _at(f: TensorCoeffs, k: int) -> complex:
 
 
 def test_casimir_examples():
-    assert casimir_mu(SeriesParam.principal(1.0)) == pytest.approx(0.5)
-    assert casimir_mu(SeriesParam.discrete(1)) == pytest.approx(0.0)
-    assert casimir_mu(SeriesParam.complementary(0.5)) == pytest.approx(3 / 16)
+    assert SeriesParam.principal(1.0).mu == pytest.approx(0.5)
+    assert SeriesParam.discrete(1).mu == pytest.approx(0.0)
+    assert SeriesParam.complementary(0.5).mu == pytest.approx(3 / 16)
 
 
 def test_weight_examples():
-    assert weight_Q(SeriesParam.principal(1.0), 0) == pytest.approx(0.5)
-    assert weight_Q(SeriesParam.discrete(1), 1) == pytest.approx(2.0)
-    assert weight_Q(SeriesParam.complementary(0.5), 3) == pytest.approx(3 / 16 + 18)
-    with pytest.raises(InvalidIndex):
-        weight_Q(SeriesParam.discrete(2), 1)
+    assert weight_q_array(SeriesParam.principal(1.0), 0) == pytest.approx(0.5)
+    assert weight_q_array(SeriesParam.discrete(1), 1) == pytest.approx(2.0)
+    assert weight_q_array(SeriesParam.complementary(0.5), 3) == pytest.approx(3 / 16 + 18)
 
 
 def test_basis_norm_examples():

@@ -2,12 +2,25 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from paracoh import ConfigError, MultiParam, SchemaError, SeriesParam, default_window
+from paracoh import (
+    ConfigError,
+    IndexWindow,
+    InvalidIndex,
+    MultiParam,
+    SchemaError,
+    SeriesParam,
+    default_window,
+)
 from paracoh.config import config_from_json, config_to_json, default_config
+from paracoh.experiments import cmd_gen
+from paracoh.forms import zero_form
 from paracoh.generate import random_closed_form, random_tensor
 from paracoh.serialize import (
     factor_from_json,
@@ -22,6 +35,7 @@ from paracoh.serialize import (
     tensor_from_json,
     tensor_to_json,
 )
+from tests.test_harness import _small_config
 
 
 def _mp():
@@ -40,10 +54,12 @@ def test_tensor_round_trip_bitwise(tmp_path, rng):
     assert np.array_equal(g.coeffs, f.coeffs)  # bitwise
     # document shape matches the published schema
     doc = json.loads(path.read_text())
-    assert doc["format_version"] == 1
+    assert doc["format_version"] == 2
     assert doc["factors"][0] == {"kind": "principal", "nu_im": 2.0}
     assert doc["factors"][1] == {"kind": "discrete", "n": 1}
-    assert set(doc["coeffs"][0]) == {"k", "re", "im"}
+    assert set(doc["coeffs"]) == {"index", "re", "im"}
+    # C-order flat offsets into the window box, strictly increasing
+    assert doc["coeffs"]["index"] == np.flatnonzero(f.coeffs).tolist()
 
 
 def test_vector_round_trip(rng):
@@ -75,9 +91,9 @@ def test_version_mismatch_rejected(rng):
     mp = _mp()
     wins = tuple(default_window(p, 4) for p in mp.factors)
     doc = tensor_to_json(random_tensor(mp, wins, rng))
-    doc["format_version"] = 2
-    with pytest.raises(SchemaError):
-        tensor_from_json(doc)
+    for bad in (1, 3, "2", True):
+        with pytest.raises(SchemaError, match=f"format_version {bad!r} not supported"):
+            tensor_from_json({**doc, "format_version": bad})
     doc.pop("format_version")
     with pytest.raises(SchemaError):
         tensor_from_json(doc)
@@ -87,26 +103,26 @@ def test_nan_rejected(rng):
     mp = _mp()
     wins = tuple(default_window(p, 4) for p in mp.factors)
     doc = tensor_to_json(random_tensor(mp, wins, rng))
-    doc["coeffs"][0]["re"] = float("nan")
-    with pytest.raises(SchemaError):
-        tensor_from_json(doc)
-    doc["coeffs"][0]["re"] = float("inf")
-    with pytest.raises(SchemaError):
-        tensor_from_json(doc)
+    for part in ("re", "im"):
+        for bad in (math.nan, math.inf, -math.inf):
+            bad_doc = json.loads(json.dumps(doc))
+            bad_doc["coeffs"][part][0] = bad
+            with pytest.raises(SchemaError, match="non-finite"):
+                tensor_from_json(bad_doc)
 
 
 def test_schema_violations(rng):
     mp = _mp()
     wins = tuple(default_window(p, 4) for p in mp.factors)
     base = tensor_to_json(random_tensor(mp, wins, rng, margin=0))
-    doc = json.loads(json.dumps(base))
-    doc["coeffs"][0]["k"] = [99, 99]
-    with pytest.raises(SchemaError):
-        tensor_from_json(doc)
-    doc = json.loads(json.dumps(base))
-    doc["coeffs"].append(dict(doc["coeffs"][0]))
-    with pytest.raises(SchemaError):
-        tensor_from_json(doc)  # duplicate index
+    size = len(wins[0]) * len(wins[1])
+    # outside the box, a duplicate, and out of order: each breaks the one rule
+    for index in ([-1], [size], [3, 3], [4, 3]):
+        doc = json.loads(json.dumps(base))
+        n = len(index)
+        doc["coeffs"] = {"index": index, "re": [1.0] * n, "im": [0.0] * n}
+        with pytest.raises(SchemaError, match="increase strictly"):
+            tensor_from_json(doc)
     doc = json.loads(json.dumps(base))
     doc["factors"][0] = {"kind": "mystery"}
     with pytest.raises(SchemaError):
@@ -183,12 +199,14 @@ def test_schema_ints_not_coerced(rng):
         doc[section][idx][key] = bad
         with pytest.raises(SchemaError):
             tensor_from_json(doc)
-    # coefficient indices and values: one entry, so no duplicate index masks the check
-    one = {"k": [0, 1], "re": 1.0, "im": 0.0}
-    assert tensor_from_json({**base, "coeffs": [one]}).coeffs[4, 0] == 1.0
-    for bad in ({"k": [0.7, 1]}, {"k": [True, 1]}, {"re": True}, {"im": "2.5"}):
+    # coefficient indices and values: one entry, so no ordering rule masks the check
+    one = {"index": [4 * len(wins[1])], "re": [1.0], "im": [0]}
+    assert tensor_from_json({**base, "coeffs": one}).coeffs[4, 0] == 1.0
+    bads = [{"index": [bad]} for bad in (4.0 * len(wins[1]), 0.7, True, "0")]
+    bads += [{"re": [True]}, {"re": ["1.0"]}, {"im": [False]}, {"im": ["2.5"]}, {"re": [None]}]
+    for bad in bads:
         with pytest.raises(SchemaError):
-            tensor_from_json({**base, "coeffs": [{**one, **bad}]})
+            tensor_from_json({**base, "coeffs": {**one, **bad}})
     # 1-based form axes: int() would read 1.9 and true as axis 1
     form = form_to_json(random_closed_form(mp, wins, 1, rng)[0])
     for bad in (1.9, True):
@@ -196,3 +214,98 @@ def test_schema_ints_not_coerced(rng):
         doc["components"][0]["axes"] = [bad]
         with pytest.raises(SchemaError):
             form_from_json(doc)
+
+
+def test_coeffs_lists_must_match_the_schema(rng):
+    mp = _mp()
+    wins = tuple(default_window(p, 4) for p in mp.factors)
+    base = tensor_to_json(random_tensor(mp, wins, rng, margin=0))
+    one = {"index": [0, 5], "re": [1.0, 2.0], "im": [0.0, -1.0]}
+    got = tensor_from_json({**base, "coeffs": one}).coeffs
+    assert got[0, 0] == 1.0 and got[divmod(5, len(wins[1]))] == 2 - 1j
+    bads = [
+        {**one, "re": [1.0]},  # unequal lengths
+        {**one, "im": [0.0, 1.0, 2.0]},
+        {"index": [0, 5], "re": [1.0, 2.0]},  # missing key
+        {**one, "k": [[0, 0], [0, 5]]},  # extra key
+        {**one, "index": 5},  # not lists
+        {**one, "re": {"0": 1.0}},
+        [{"k": [0, 0], "re": 1.0, "im": 0.0}],  # a format-1 entry list
+        None,
+    ]
+    for bad in bads:
+        with pytest.raises(SchemaError):
+            tensor_from_json({**base, "coeffs": bad})
+    # numbers out of range: an index past int64, a value past float
+    for bad in ({"index": [0, 2**64]}, {"re": [1.0, 10**400]}, {"im": [-(10**400), 0]}):
+        with pytest.raises(SchemaError, match="out of range"):
+            tensor_from_json({**base, "coeffs": {**one, **bad}})
+    empty = tensor_from_json({**base, "coeffs": {"index": [], "re": [], "im": []}})
+    assert not empty.coeffs.any()
+
+
+def test_form_components_use_the_columnar_coeffs(rng):
+    mp = _mp()
+    wins = tuple(default_window(p, 4) for p in mp.factors)
+    w = random_closed_form(mp, wins, 1, rng)[0]
+    doc = form_to_json(w)
+    assert doc["format_version"] == 2
+    assert [set(c["coeffs"]) for c in doc["components"]] == [{"index", "re", "im"}] * 2
+    for bad in (
+        {"index": [0], "re": [math.nan], "im": [0.0]},
+        {"index": [w.components[(0,)].size], "re": [1.0], "im": [0.0]},
+        {"index": [2, 1], "re": [1.0, 1.0], "im": [0.0, 0.0]},
+        {"index": [0], "re": [1.0], "im": [0.0, 0.0]},
+        [{"k": [0, 0], "re": 1.0, "im": 0.0}],
+    ):
+        bad_doc = json.loads(json.dumps(doc))
+        bad_doc["components"][1]["coeffs"] = bad
+        with pytest.raises(SchemaError):
+            form_from_json(bad_doc)
+    with pytest.raises(SchemaError, match="format_version 1"):
+        form_from_json({**doc, "format_version": 1})
+
+
+def test_window_below_lowest_weight_is_a_schema_error(rng):
+    mp = _mp()  # principal(2) x discrete(1)
+    wins = tuple(default_window(p, 4) for p in mp.factors)
+    tdoc = tensor_to_json(random_tensor(mp, wins, rng))
+    fdoc = form_to_json(random_closed_form(mp, wins, 1, rng)[0])
+    for doc, load in ((tdoc, tensor_from_json), (fdoc, form_from_json)):
+        bad = json.loads(json.dumps(doc))
+        bad["windows"][1]["lo"] = 0
+        with pytest.raises(SchemaError, match="below lowest weight 1"):
+            load(bad)
+    # the form type itself checks its windows, as the tensor type does
+    with pytest.raises(InvalidIndex):
+        zero_form(mp, (wins[0], IndexWindow(0, 4)), 1)
+
+
+@pytest.mark.parametrize("kind, degree", [("tensor", None), ("form", 1)])
+def test_gen_documents_round_trip_to_themselves(tmp_path, kind, degree):
+    to_json, from_json = {
+        "tensor": (tensor_to_json, tensor_from_json),
+        "form": (form_to_json, form_from_json),
+    }[kind]
+    for path in cmd_gen(_small_config(k=8), kind, degree, tmp_path):
+        text = open(path).read()
+        assert json.dumps(to_json(from_json(json.loads(text)))) + "\n" == text
+
+
+def test_gen_files_do_not_depend_on_the_hash_seed(tmp_path):
+    # benchmarks/run.py marks a run incorrect when one seed gives other input hashes
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config_to_json(_small_config(k=8))))
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"hash{hash_seed}"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        for kind, extra in (("tensor", []), ("form", ["--degree", "1"])):
+            argv = [sys.executable, "-m", "paracoh.cli", "gen", "--config", str(cfg),
+                    "--kind", kind, "--out", str(out / kind), *extra]
+            subprocess.run(argv, env=env, check=True, capture_output=True)
+        outputs.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.json"))})
+    assert len(outputs[0]) == 6
+    assert outputs[0] == outputs[1]

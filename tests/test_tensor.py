@@ -19,7 +19,7 @@ from paracoh import (
 )
 from paracoh.generate import random_tensor
 from paracoh.params import IndexWindow
-from paracoh.repn import weight_Q
+from paracoh.repn import weight_q_array
 from paracoh.tensor import kernel_defects, norm0, phi_tensor, slice_axis
 from paracoh import basis_vector
 
@@ -164,7 +164,7 @@ def test_projection_inequalities(rng):
                 assert tensor_sobolev_norm(r, tau) <= full_tau * (1 + 1e-12)
             for k in wins[0].indices():
                 r = restrict(f, {0: int(k)})
-                lhs2 += (1 + weight_Q(mp.factors[0], int(k))) ** tau * tensor_sobolev_norm(
+                lhs2 += (1 + weight_q_array(mp.factors[0], int(k))) ** tau * tensor_sobolev_norm(
                     r, sig
                 ) ** 2
             assert lhs2 <= tensor_sobolev_norm(f, tau + sig) ** 2 * (1 + 1e-12)
