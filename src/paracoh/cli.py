@@ -119,7 +119,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _load_cfg(args)
-        out_dir = cfg.out_dir or "paracoh-out"
+        out_dir = experiments.check_out_dir(cfg.out_dir or "paracoh-out")
         if args.command == "gen":
             for path in experiments.cmd_gen(cfg, args.kind, args.degree, out_dir):
                 print(path)

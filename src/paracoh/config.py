@@ -87,31 +87,46 @@ class ExperimentConfig:
         )
 
 
+def _json_str_or_null(value) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise ValueError(f"expected a string or null, got {value!r}")
+    return value
+
+
+# every config key but "components", with the reader of its JSON value; the
+# writer writes the same keys and a config with any other key is rejected
+_READERS = {
+    **dict.fromkeys(("k_per_axis", "seed", "pad", "max_refine"), json_int),
+    **dict.fromkeys(("eps0", "nu0", "tol_kernel", "tol_residual"), json_float),
+    "t_list": lambda value: tuple(json_float(t) for t in value),
+    "out_dir": _json_str_or_null,
+}
+
+
 def config_to_json(cfg: ExperimentConfig) -> dict:
     return {
         "components": [
             {"label": c.label, "factors": [factor_to_json(p) for p in c.factors]}
             for c in cfg.components
         ],
-        "k_per_axis": cfg.k_per_axis,
+        **{key: getattr(cfg, key) for key in _READERS},
         "t_list": list(cfg.t_list),
-        "seed": cfg.seed,
-        "eps0": cfg.eps0,
-        "nu0": cfg.nu0,
-        "pad": cfg.pad,
-        "tol_kernel": cfg.tol_kernel,
-        "tol_residual": cfg.tol_residual,
-        "max_refine": cfg.max_refine,
-        "out_dir": cfg.out_dir,
     }
 
 
 def config_from_json(doc) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
+    unknown = [key for key in doc if key != "components" and key not in _READERS]
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in the config")
     entries = doc.get("components")
     if not isinstance(entries, list) or not all(isinstance(c, dict) for c in entries):
         raise ConfigError(f"components must be a list of objects, got {entries!r}")
+    for i, c in enumerate(entries):
+        unknown = [key for key in c if key not in ("label", "factors")]
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in components entry {i}")
     try:
         comps = tuple(
             ComponentConfig(
@@ -123,21 +138,12 @@ def config_from_json(doc) -> ExperimentConfig:
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad components entry: {exc}") from exc
     kwargs = {}
-    scalars = [(key, json_int) for key in ("k_per_axis", "seed", "pad", "max_refine")]
-    scalars += [(key, json_float) for key in ("eps0", "nu0", "tol_kernel", "tol_residual")]
-    for key, convert in scalars:
+    for key, read in _READERS.items():
         if key in doc:
             try:
-                kwargs[key] = convert(doc[key])
-            except ValueError as exc:
+                kwargs[key] = read(doc[key])
+            except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
-    if "t_list" in doc:
-        try:
-            kwargs["t_list"] = tuple(json_float(t) for t in doc["t_list"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"t_list: {exc}") from exc
-    if doc.get("out_dir") is not None:
-        kwargs["out_dir"] = str(doc["out_dir"])
     try:
         return ExperimentConfig(components=comps, **kwargs)
     except (TypeError, ValueError) as exc:

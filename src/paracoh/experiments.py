@@ -69,14 +69,29 @@ def _report(cfg: ExperimentConfig, command: str, passed: bool, **fields) -> Repo
     return Report(command, passed, config_hash(cfg), cfg.seed, **fields)
 
 
+def check_out_dir(out_dir: str) -> str:
+    """out_dir, checked before any work: it, or the nearest existing path
+    above it, must be a directory.  Writing creates it."""
+    path = out_dir
+    while not os.path.exists(path):
+        path = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(path):
+        raise ConfigError(f"cannot write output directory {out_dir}: {path} is not a directory")
+    return out_dir
+
+
 def write_report(report: Report, out_dir) -> list[str]:
-    """report.json plus one CSV per sweep table; returns written paths."""
-    os.makedirs(out_dir, exist_ok=True)
-    paths = [os.path.join(out_dir, f"{report.command}.json")]
-    serialize.save_json(paths[0], report.to_json())
-    for name, rows in report.tables.items():
-        paths.append(os.path.join(out_dir, f"{report.command}.{name}.csv"))
-        serialize.table_to_csv(rows, paths[-1])
+    """report.json plus one CSV per sweep table; returns written paths.  An
+    OSError from creating or writing them is a ConfigError."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        paths = [os.path.join(out_dir, f"{report.command}.json")]
+        serialize.save_json(paths[0], report.to_json())
+        for name, rows in report.tables.items():
+            paths.append(os.path.join(out_dir, f"{report.command}.{name}.csv"))
+            serialize.table_to_csv(rows, paths[-1])
+    except OSError as exc:
+        raise ConfigError(f"cannot write report to {out_dir}: {exc}") from exc
     return paths
 
 
@@ -206,8 +221,9 @@ def _projection_excess(
     times ||u(k_0)||.  A negative excess is slack.
     """
     (p0, p1), (w0, w1) = params.factors, windows
+    both = repn.sobolev_norm_array(params.factors, windows, f, (tau, tau + sig))
     # ||f restricted at k_1||_tau <= ||f||_tau
-    norm_tau = repn.sobolev_norm_array(params.factors, windows, f, tau)
+    norm_tau = both[:, 0]
     r1 = np.ascontiguousarray(f.transpose(0, 2, 1))
     r1 *= np.sqrt(basis_norm_sq_array(p1, w1))[:, None]
     excess = repn.sobolev_norm_array((p0,), (w0,), r1, tau) - norm_tau[:, None]
@@ -216,7 +232,7 @@ def _projection_excess(
     # the left side summed in k_0 order in Python floats
     r0 = f * np.sqrt(basis_norm_sq_array(p0, w0))[:, None]
     restricted = repn.sobolev_norm_array((p1,), (w1,), r0, sig).tolist()
-    whole = repn.sobolev_norm_array(params.factors, windows, f, tau + sig).tolist()
+    whole = both[:, 1].tolist()
     q_pow = [(1.0 + q) ** tau for q in repn.weight_q_array(p0, w0.indices()).tolist()]
     two = -math.inf
     for norms, top in zip(restricted, whole):
@@ -512,8 +528,11 @@ def cmd_gen(cfg: ExperimentConfig, kind: str, degree: int | None, out_dir) -> li
         save = serialize.save_form
     else:
         raise ConfigError(f"unknown gen kind {kind!r} (want tensor|form)")
-    os.makedirs(out_dir, exist_ok=True)
     paths = [os.path.join(out_dir, f"{comp.label}.{kind}.json") for comp in cfg.components]
-    for idx, (comp, path) in enumerate(zip(cfg.components, paths)):
-        save(path, _component_input(cfg, idx, comp, degree, None))
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for idx, (comp, path) in enumerate(zip(cfg.components, paths)):
+            save(path, _component_input(cfg, idx, comp, degree, None))
+    except OSError as exc:
+        raise ConfigError(f"cannot write inputs to {out_dir}: {exc}") from exc
     return paths

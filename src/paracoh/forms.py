@@ -17,7 +17,10 @@ slices of all forms in the batch go to one recursive call, so the number of
 least-squares calls does not grow with the window.  For degree 1 the
 remainder is a joint-invariant 0-form which must vanish; each form is gated
 by its own ||theta||_0, and a marginal defect sends that form alone to one
-joint least-squares solve over all axes.
+joint least-squares solve over all axes.  A form's norm is the root sum of
+its components' squared `repn.sobolev_norm_array` norms, each component
+normed once for all orders: `solve_primitive` norms w once for ||w||_0 and
+every varsigma_d(t), and eta once for every t.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .solver import (
     _solve_top_rec,
     sigma_schedule,
 )
-from .tensor import TensorCoeffs, tensor_sobolev_norm
+from .tensor import TensorCoeffs
 
 Axes = tuple[int, ...]
 
@@ -98,11 +101,15 @@ def form_from_function(f: TensorCoeffs) -> LeafwiseForm:
     return LeafwiseForm(f.d, f.params, f.windows, {tuple(range(f.d)): f.coeffs.copy()})
 
 
-def form_sobolev_norm(w: LeafwiseForm, t: float) -> float:
-    total = 0.0
+def form_sobolev_norm(w: LeafwiseForm, t: float | tuple[float, ...]) -> float | np.ndarray:
+    """sqrt of the sum of the components' squared norms; `t` is one order or a
+    tuple of orders, as in `repn.sobolev_norm_array`."""
+    orders = t if isinstance(t, tuple) else (t,)
+    totals = [0.0] * len(orders)
     for arr in w.components.values():
-        total += tensor_sobolev_norm(TensorCoeffs(w.params, w.windows, arr), t) ** 2
-    return float(np.sqrt(total))
+        norms = repn.sobolev_norm_array(w.params.factors, w.windows, arr, orders).tolist()
+        totals = [total + norm**2 for total, norm in zip(totals, norms)]
+    return np.sqrt(totals) if isinstance(t, tuple) else float(np.sqrt(totals[0]))
 
 
 def form_norm0(w: LeafwiseForm) -> float:
@@ -258,8 +265,7 @@ def _primitive_rec(
         # theta is a 0-form invariant under every remaining generator: it must
         # vanish.  Per form, by its own ||theta||_0: accept eta1, fall back to
         # a joint solve of that form alone, or fail.
-        w2 = repn.basis_norm_sq_grid(params.factors, theta_windows)
-        norms = np.sqrt(np.sum(np.abs(theta_comps[()]) ** 2 * w2, axis=tuple(range(1, d + 1))))
+        norms = repn.sobolev_norm_array(params.factors, theta_windows, theta_comps[()], 0.0)
         accept = norms <= opts.tol_residual * scale
         fallback = ~accept & (norms <= np.sqrt(opts.tol_residual) * scale)
         failed = np.flatnonzero(~(accept | fallback))
@@ -384,9 +390,10 @@ def solve_primitive(
     n, d = w.degree, w.d
     if d < 2 or not 1 <= n <= d - 1:
         raise ValueError(f"solve_primitive needs d >= 2 and 1 <= degree <= d-1, got n={n}, d={d}")
-    wn0 = form_norm0(w)
-    closed, defect = is_closed(w, opts.tol_kernel)
-    if not closed:
+    w_norms = form_sobolev_norm(w, (0.0,) + tuple(varsigma_schedule(t, d) for t in opts.t_list))
+    wn0, denoms = float(w_norms[0]), w_norms[1:].tolist()
+    defect = form_norm0(exterior_derivative(w))
+    if not defect <= opts.tol_kernel * wn0:  # as is_closed decides
         raise NotClosed(
             f"||d w||_0 = {defect:.3e} exceeds {opts.tol_kernel:.1e} * ||w||_0"
         )
@@ -402,10 +409,9 @@ def solve_primitive(
         raise NoConvergence(
             f"primitive residual {residual:.3e} above {opts.tol_residual:.1e} * ||w||_0"
         )
-    ratios = {}
-    for t in opts.t_list:
-        denom = form_sobolev_norm(w, varsigma_schedule(t, d))
-        ratios[t] = form_sobolev_norm(eta, t) / denom if denom > 0 else 0.0
+    nums = form_sobolev_norm(eta, tuple(opts.t_list)).tolist()
+    ratios = {t: num / denom if denom > 0 else 0.0
+              for t, num, denom in zip(opts.t_list, nums, denoms)}
     return eta, SolveReport(residual, wn0, defect, ratios, 0)
 
 

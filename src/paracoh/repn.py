@@ -15,8 +15,10 @@ validating both; see tests.
 of a dense array; `u_matrix` (the stencil on the identity) is a view of it.
 `sobolev_norm_array` is the one Sobolev norm, on arrays over any factor
 tuple, with leading axes a batch; it needs no `MultiParam`, so it also
-serves parameters outside the product gates.  The scalar `basis_norm_sq`
-reads its array twin.
+serves parameters outside the product gates.  It is the only code that
+weights |coefficients|^2 by the basis norms and (1 + Q)^t, and it takes a
+tuple of orders in one pass, so every caller norms an array once for all of
+its orders.  The scalar `basis_norm_sq` reads its array twin.
 """
 
 from __future__ import annotations
@@ -125,21 +127,29 @@ def sobolev_norm_array(
     factors: tuple[SeriesParam, ...],
     windows: tuple[IndexWindow, ...],
     coeffs: np.ndarray,
-    t: float,
+    t: float | tuple[float, ...],
 ) -> float | np.ndarray:
     """sqrt of sum (1 + sum mu_j + 2|k|^2)^t |f(k)|^2 prod ||u(k_j)||^2.
 
     The windows index the trailing axes of `coeffs`; leading axes are a
-    batch, normed item by item.  Without a batch the norm is a float.
+    batch, normed item by item.  A tuple of orders adds a trailing axis, one
+    entry per order, each bitwise the value of that order alone; |f|^2 and
+    the grids are built once.  Without a batch, one order gives a float.
     """
+    orders = t if isinstance(t, tuple) else (t,)
     axes = tuple(range(-len(windows), 0))
     mag2 = np.abs(coeffs)
     np.square(mag2, out=mag2)
-    if t == 0.0:
-        mag2 *= basis_norm_sq_grid(factors, windows)
-    else:
+    if any(s != 0.0 for s in orders):
         qgrid, w2 = weight_grids(factors, windows)
-        mag2 *= qgrid**t
-        mag2 *= w2
-    norms = np.sqrt(np.sum(mag2, axis=axes))
-    return float(norms) if norms.ndim == 0 else norms
+    else:
+        w2 = basis_norm_sq_grid(factors, windows)
+    norms = np.empty(mag2.shape[: mag2.ndim - len(windows)] + (len(orders),))
+    term = mag2 if len(orders) == 1 else np.empty_like(mag2)
+    for i, s in enumerate(orders):
+        np.multiply(mag2, w2 if s == 0.0 else qgrid**s, out=term)
+        if s != 0.0:
+            term *= w2
+        norms[..., i] = np.sqrt(np.sum(term, axis=axes))
+    out = norms if isinstance(t, tuple) else norms[..., 0]
+    return float(out) if out.ndim == 0 else out

@@ -79,14 +79,19 @@ def factor_from_json(obj: Any) -> SeriesParam:
     kind = obj["kind"]
     try:
         if kind == "principal":
-            return SeriesParam.principal(json_float(obj["nu_im"]))
-        if kind == "complementary":
-            return SeriesParam.complementary(json_float(obj["nu"]))
-        if kind == "discrete":
-            return SeriesParam.discrete(json_int(obj["n"]))
+            param = SeriesParam.principal(json_float(obj["nu_im"]))
+        elif kind == "complementary":
+            param = SeriesParam.complementary(json_float(obj["nu"]))
+        elif kind == "discrete":
+            param = SeriesParam.discrete(json_int(obj["n"]))
+        else:
+            raise SchemaError(f"unknown factor kind {kind!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad factor entry {obj!r}: {exc}") from exc
-    raise SchemaError(f"unknown factor kind {kind!r}")
+    unknown = [key for key in obj if key not in factor_to_json(param)]
+    if unknown:
+        raise SchemaError(f"unknown key {unknown[0]!r} in factor entry {obj!r}")
+    return param
 
 
 def window_from_json(obj: Any) -> IndexWindow:

@@ -33,7 +33,9 @@ so it is padded on axis i only and keeps f's windows elsewhere; it is
 returned and verified on those windows.  `verify_solution` never holds the
 residual on the hull of those windows: it sums it cell by cell, cutting the
 hull at f's window edges and skipping the cells no block reaches, where the
-residual is exactly zero.
+residual is exactly zero.  Every norm goes through `repn.sobolev_norm_array`:
+the verification norms f once for ||f||_0 and every sigma_d(t), and each
+g_i once for every t.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ from . import tensor
 from .distributions import Sign, dist_values_array, phi, valid_signs
 from .errors import NoConvergence, NotInKernel, ParamMismatch
 from .params import IndexWindow, MultiParam, SeriesParam, expand_window
-from .repn import apply_u_axis_array, basis_norm_sq_array, basis_norm_sq_grid, sobolev_norm_array
-from .tensor import TensorCoeffs, norm0, tensor_sobolev_norm, valid_tags
+from .repn import apply_u_axis_array, basis_norm_sq_array, sobolev_norm_array
+from .tensor import TensorCoeffs, norm0, valid_tags
 
 
 @dataclass(frozen=True)
@@ -234,9 +236,8 @@ def _solve_rows_refined(
         if prev is not None:
             prev_sol, prev_win = prev
             off = prev_win.lo - win_in.lo
-            w0 = np.sqrt(basis_norm_sq_array(param, prev_win))
-            diff = (sol[..., off : off + len(prev_win)] - prev_sol) * w0
-            drift = np.linalg.norm(diff, axis=-1).max(axis=1, initial=0.0)
+            diff = sol[..., off : off + len(prev_win)] - prev_sol
+            drift = sobolev_norm_array((param,), (prev_win,), diff, 0.0).max(axis=1, initial=0.0)
             ok = (drift <= tol) & (resid <= tol)
             accepted.append((pending[ok], sol[ok], win_in))
             refs[pending[ok]] = attempt
@@ -367,10 +368,8 @@ def _solve_top_rec(
 
     # leading-factor problems: every nonzero split amplitude, F_plus then
     # F_minus, in one batch
-    w2 = basis_norm_sq_grid(lead_params.factors, lead_windows)
-    item_axes = tuple(range(1, d))
     picks = {
-        s: np.flatnonzero(np.sum(np.abs(amp) ** 2 * w2, axis=item_axes) > 0.0)
+        s: np.flatnonzero(sobolev_norm_array(lead_params.factors, lead_windows, amp, 0.0) > 0.0)
         for s, amp in amplitudes.items()
     }
     stacked = np.concatenate([amplitudes[s][picks[s]] for s in amplitudes])
@@ -460,6 +459,10 @@ def verify_solution(
     for i, g in enumerate(g_list):
         if g.params != f.params:
             raise ParamMismatch(f"g_{i} is over {g.params.label()}, f over {f.params.label()}")
+    orders = (0.0,) + tuple(sigma_schedule(t, f.d) for t in t_list)
+    fn0, *denoms = sobolev_norm_array(f.params.factors, f.windows, f.coeffs, orders).tolist()
+    g_norms = [sobolev_norm_array(g.params.factors, g.windows, g.coeffs, tuple(t_list)).tolist()
+               for g in g_list]
     terms = [tensor.apply_U_factor(g, i) for i, g in enumerate(g_list)]
     wins = tensor.hull(f.windows, *(u.windows for u in terms))
     cuts = [  # below f, f, above f on each axis
@@ -486,13 +489,9 @@ def verify_solution(
             view = acc[tensor.sub_slices(common, cell)]
             op(view, b.coeffs[tensor.sub_slices(common, b.windows)], out=view)
         resid_sq += sobolev_norm_array(f.params.factors, cell, acc, 0.0) ** 2
-    fn0 = norm0(f)
     kernel_defect = max(tensor.kernel_defects(f).values(), default=0.0)
-    ratios = {}
-    for t in t_list:
-        denom = tensor_sobolev_norm(f, sigma_schedule(t, f.d))
-        num = max((tensor_sobolev_norm(g, t) for g in g_list), default=0.0)
-        ratios[t] = num / denom if denom > 0 else 0.0
+    ratios = {t: max(nums) / denom if denom > 0 else 0.0
+              for t, denom, nums in zip(t_list, denoms, zip(*g_norms))}
     return SolveReport(float(np.sqrt(resid_sq)), fn0, kernel_defect, ratios, 0)
 
 

@@ -330,3 +330,58 @@ def test_report_exit_codes(tmp_path, monkeypatch, argv, fail_code):
         assert main(argv + ["--out", str(tmp_path)]) == code
         doc = json.loads((tmp_path / f"{argv[0]}.json").read_text())
         assert doc["passed"] is passed
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [(lambda doc: doc.update(tol_residul=1e-30), "'tol_residul'"),
+     (lambda doc: doc.update(max_refin=0), "'max_refin'"),
+     (lambda doc: doc["components"][1].update(lable="x"), "'lable'"),
+     (lambda doc: doc["components"][0]["factors"][0].update(nu=0.5), "'nu'"),
+     (lambda doc: doc.update(out_dir=5), "out_dir")],
+    ids=["top-level", "top-level-int", "component", "factor", "out-dir-not-string"],
+)
+def test_unknown_config_keys_are_config_errors(tmp_path, capsys, edit, key):
+    doc = config_to_json(_small_config(k=8))
+    edit(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises((ConfigError, SchemaError), match=key):
+        load_config(str(path))
+    assert main(["solve-top", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error:" in err and key in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_factor_key_in_a_data_file_is_a_schema_error(tmp_path):
+    docs = _gen_docs(tmp_path, _small_config(k=8), "tensor")
+    docs[0]["factors"][0]["lo"] = 0
+    with pytest.raises(SchemaError, match="unknown key 'lo'"):
+        tensor_from_json(docs[0])
+
+
+@pytest.mark.parametrize(
+    "argv", [["gen"], ["verify-invariants"], ["solve-form", "--degree", "1"]]
+)
+def test_an_out_that_is_not_a_directory_fails_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    for name in ("cmd_gen", "cmd_verify_invariants", "cmd_solve_form"):
+        monkeypatch.setattr(experiments, name, no_work)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error:" in err and str(blocker) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, name", [(["gen"], "component-1.tensor.json"),
+                                        (["verify-invariants"], "verify-invariants.duality.csv")])
+def test_an_unwritable_output_file_is_a_config_error(tmp_path, capsys, argv, name):
+    (tmp_path / name).mkdir()  # a directory where the file goes
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error:" in err and name in err and "Traceback" not in err

@@ -1,11 +1,16 @@
 """Write the reference report set and print one `sha256  file` line per file.
 
-The set is the built-in default config at d = 1, 2, 3 with seeds 0, 1, 2:
+The set is the built-in default config at d = 1, 2, 3, and the d = 4
+factor slice principal(s) x complementary(0.9) x discrete(1) x principal(3)
+with s = 1, 1.5, 2, 2.5 (which `default_config` cannot build), each with
+seeds 0, 1, 2:
 
-    solve-top          d=1 at K=32 and K=512, d=2 and d=3 at K=32
+    solve-top          d=1 at K=32 and K=512, d=2 and d=3 at K=32,
+                       the d=4 slice at K=8
     verify-invariants  d=2
     sweep-bounds       d=2
-    solve-form         --degree 1 at d=2, --degree 2 at d=3
+    solve-form         --degree 1 at d=2 (K=32) and d=3 (K=16),
+                       --degree 2 at d=3 (K=32)
 
 Reports go to a temporary directory that is removed afterwards, or to DIR
 with `--keep DIR`, which keeps them; file names are printed relative to it.
@@ -38,18 +43,36 @@ import tempfile
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from paracoh import experiments  # noqa: E402
-from paracoh.config import default_config  # noqa: E402
+from paracoh.config import ComponentConfig, ExperimentConfig, default_config  # noqa: E402
+from paracoh.params import SeriesParam  # noqa: E402
 
-# (directory, d, K, command taking the config)
+
+def d4_slice(seed: int, k_per_axis: int) -> ExperimentConfig:
+    """principal(s) x complementary(0.9) x discrete(1) x principal(3)."""
+    tail = (SeriesParam.complementary(0.9), SeriesParam.discrete(1), SeriesParam.principal(3.0))
+    comps = tuple(
+        ComponentConfig(f"c{i}", (SeriesParam.principal(s),) + tail)
+        for i, s in enumerate((1.0, 1.5, 2.0, 2.5))
+    )
+    return ExperimentConfig(components=comps, seed=seed, k_per_axis=k_per_axis)
+
+
+def default(d: int):
+    return lambda seed, k_per_axis: default_config(d=d, seed=seed, k_per_axis=k_per_axis)
+
+
+# (directory, config of (seed, K), K, command taking the config)
 RUNS = [
-    ("solve-top-d1-k32", 1, 32, experiments.cmd_solve_top),
-    ("solve-top-d1-k512", 1, 512, experiments.cmd_solve_top),
-    ("solve-top-d2", 2, 32, experiments.cmd_solve_top),
-    ("solve-top-d3", 3, 32, experiments.cmd_solve_top),
-    ("verify-invariants", 2, 32, experiments.cmd_verify_invariants),
-    ("sweep-bounds", 2, 32, experiments.cmd_sweep_bounds),
-    ("solve-form-deg1-d2", 2, 32, lambda cfg: experiments.cmd_solve_form(cfg, 1)),
-    ("solve-form-deg2-d3", 3, 32, lambda cfg: experiments.cmd_solve_form(cfg, 2)),
+    ("solve-top-d1-k32", default(1), 32, experiments.cmd_solve_top),
+    ("solve-top-d1-k512", default(1), 512, experiments.cmd_solve_top),
+    ("solve-top-d2", default(2), 32, experiments.cmd_solve_top),
+    ("solve-top-d3", default(3), 32, experiments.cmd_solve_top),
+    ("solve-top-d4-k8", d4_slice, 8, experiments.cmd_solve_top),
+    ("verify-invariants", default(2), 32, experiments.cmd_verify_invariants),
+    ("sweep-bounds", default(2), 32, experiments.cmd_sweep_bounds),
+    ("solve-form-deg1-d2", default(2), 32, lambda cfg: experiments.cmd_solve_form(cfg, 1)),
+    ("solve-form-deg1-d3-k16", default(3), 16, lambda cfg: experiments.cmd_solve_form(cfg, 1)),
+    ("solve-form-deg2-d3", default(3), 32, lambda cfg: experiments.cmd_solve_form(cfg, 2)),
 ]
 SEEDS = (0, 1, 2)
 
@@ -67,8 +90,8 @@ def main(argv: list[str] | None = None) -> int:
         where = tempfile.TemporaryDirectory(prefix="report-digest-")
     with where as root:
         for seed in SEEDS:
-            for name, d, k, command in RUNS:
-                cfg = default_config(d=d, seed=seed, k_per_axis=k)
+            for name, config, k, command in RUNS:
+                cfg = config(seed, k)
                 experiments.write_report(command(cfg), os.path.join(root, f"seed{seed}", name))
         paths = []
         for dirpath, _, files in os.walk(root):
