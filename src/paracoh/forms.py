@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import lsmr
 
 from . import repn, tensor
 from .errors import InvalidIndex, NoConvergence, NotClosed, ThetaNotVanishing
@@ -42,6 +41,9 @@ from .solver import (
     sigma_schedule,
 )
 from .tensor import TensorCoeffs
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 Axes = tuple[int, ...]
 
@@ -323,6 +325,7 @@ def _axis_operator_sparse(
     params: MultiParam, windows: tuple[IndexWindow, ...], axis: int
 ) -> tuple[sp.csr_matrix, tuple[IndexWindow, ...]]:
     """Sparse matrix of U_axis from `windows` to the axis-expanded windows."""
+    import scipy.sparse as sp  # the joint fallback alone needs it; kept off import
     mats = []
     out_windows = []
     for j, (p, w) in enumerate(zip(params.factors, windows)):
@@ -349,6 +352,8 @@ def _joint_degree1_solve(
 ) -> tuple[dict[Axes, np.ndarray], tuple[IndexWindow, ...]]:
     """Stacked least squares for U_j eta = w((j,)), all axes at once, on the
     padded windows widened to cover the starting point's."""
+    import scipy.sparse as sp  # the joint fallback alone needs it; kept off import
+    from scipy.sparse.linalg import lsmr
     d = params.d
     padded = tuple(expand_window(p, w, opts.pad) for p, w in zip(params.factors, windows))
     g_windows = tensor.hull(padded, init_windows)

@@ -367,11 +367,11 @@ def _solve_top_rec(
     lead_windows = windows[:-1]
 
     # leading-factor problems: every nonzero split amplitude, F_plus then
-    # F_minus, in one batch
-    picks = {
-        s: np.flatnonzero(sobolev_norm_array(lead_params.factors, lead_windows, amp, 0.0) > 0.0)
-        for s, amp in amplitudes.items()
-    }
+    # F_minus, in one batch; one norm pass picks them for both signs
+    nonzero = sobolev_norm_array(
+        lead_params.factors, lead_windows, np.stack(list(amplitudes.values())), 0.0
+    ) > 0.0
+    picks = {s: np.flatnonzero(row) for s, row in zip(amplitudes, nonzero)}
     stacked = np.concatenate([amplitudes[s][picks[s]] for s in amplitudes])
     if len(stacked):
         partials, refs_worst = _solve_top_rec(lead_params, lead_windows, stacked, opts, scale)

@@ -1,8 +1,8 @@
 """Invariant functionals, dual elements, and the bound sums.
 
 The brute-force partial sum at a much larger cutoff is the oracle for
-dist_order_sum; phi values are checked against the displayed two-term
-vectors and the duality conditions.
+dist_order_sum, and mpmath.quad for its tail integral; phi values are
+checked against the displayed two-term vectors and the duality conditions.
 """
 
 import numpy as np
@@ -24,7 +24,7 @@ from paracoh import (
     phi_sobolev_sum,
     product_dist_evaluate,
 )
-from paracoh.distributions import dist_values_array, valid_signs
+from paracoh.distributions import _tail_bound, dist_values_array, valid_signs
 from paracoh.generate import random_vector
 from paracoh.params import IndexWindow
 from paracoh.repn import basis_norm_sq_array, weight_q_array
@@ -227,3 +227,74 @@ def test_dist_values_array_matches_loop(grid):
             continue
         want = np.array([_dist_minus_loop(p, int(k)) for k in win.indices()])
         assert np.allclose(dist_values_array(p, Sign.MINUS, win), want, rtol=1e-13, atol=0)
+
+
+_TAIL_KMAX = 4096  # dist_order_sum's default head_max
+
+
+def _mp_tail(mp, p: SeriesParam, t: float, kmax: int):
+    """_tail_bound's majorant integral by mpmath.quad, in s = log(x / kmax).
+
+    The integrands are written out again in mpmath; the integral runs over
+    breakpoints 0, 1, 2, 4, ..., 4096, inf in s and is normalised by its
+    value at s = 0, because mpmath's error target is absolute.
+    """
+    t = mp.mpf(t)
+    mu = mp.mpf(p.mu)
+    if p.kind.value == "principal":
+        if p.nu == 0:
+            def h(x):
+                return 2 * (1 + mu + 2 * x * x) ** -t * (1 + (1 + mp.log(2 * x - 1) / 2) ** 2)
+        else:
+            def h(x):
+                return 4 * (1 + mu + 2 * x * x) ** -t
+    elif p.kind.value == "complementary":
+        w2 = mp.mpf(basis_norm_sq_array(p, IndexWindow(kmax, kmax))[0])
+        grow, decay = max(w2, 1 / w2), min(w2, 1 / w2)
+
+        def h(x):
+            return 2 * (1 + mu + 2 * x * x) ** -t * (grow * x / kmax + decay)
+    else:
+        n = p.n
+
+        def h(x):
+            growth = (2 * n - 1 + x) ** (2 * n - 1) / mp.factorial(2 * n - 1)
+            return (1 + mu + 2 * (n + x) ** 2) ** -t * growth
+
+    scale = h(mp.mpf(kmax)) * kmax
+    points = [0] + [2**j for j in range(13)] + [mp.inf]
+    return scale * mp.quad(lambda s: h(kmax * mp.exp(s)) * kmax * mp.exp(s) / scale, points)
+
+
+def _tail_grid():
+    """(param, t, threshold): sweep-bounds' 17 integrals, then t near and
+    away from the divergence threshold of each tail integrand."""
+    grid = [(SeriesParam.principal(float(s)), 2.0, 0.5) for s in np.geomspace(1.0, 100.0, 16)]
+    grid.append((SeriesParam.discrete(1), 2.0, 1.0))
+    for p, threshold in [
+        (SeriesParam.principal(0.0), 0.5),
+        (SeriesParam.principal(3.0), 0.5),
+        (SeriesParam.complementary(0.5), 1.0),
+        (SeriesParam.complementary(-0.5), 1.0),
+        (SeriesParam.complementary(0.9), 1.0),
+        (SeriesParam.discrete(1), 1.0),
+        (SeriesParam.discrete(2), 2.0),
+        (SeriesParam.discrete(3), 3.0),
+    ]:
+        grid += [(p, threshold + dt, threshold) for dt in (0.02, 0.1, 0.5, 1.5, 3.0)]
+    return grid
+
+
+@pytest.mark.parametrize(
+    "p,t,threshold",
+    _tail_grid(),
+    ids=lambda v: v.label() if isinstance(v, SeriesParam) else f"{v:g}",
+)
+def test_tail_rule_against_mpmath(p, t, threshold):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(20):
+        ref = _mp_tail(mp, p, t, _TAIL_KMAX)
+    rel = float((_tail_bound(p, t, _TAIL_KMAX) - ref) / ref)
+    assert rel >= -1e-12  # a majorant, up to rounding
+    if t >= threshold + 0.5:
+        assert abs(rel) <= 1e-13
