@@ -222,7 +222,7 @@ def dist_order_sum(param: SeriesParam, t: float, head_max: int = 4096) -> DistOr
     """sum_± sum_k (1+Q(k))^{-t} |D^±(u(k))|^2 / ||u(k)||^2, with tail bound.
 
     Requires t > 1/2.  Raises TailNotConverged when the tail majorant
-    diverges, overflows, or exceeds 1% of the head.
+    diverges, overflows or exceeds 1% of the head, or the comparison underflows.
     """
     if t <= 0.5:
         raise ValueError(f"order sum needs t > 1/2, got {t}")
@@ -248,6 +248,8 @@ def dist_order_sum(param: SeriesParam, t: float, head_max: int = 4096) -> DistOr
         comparison = (1.0 + mu + 2.0 * param.n**2) ** (0.5 - t)
     else:
         comparison = (1.0 + mu) ** (0.5 - t)
+    if comparison == 0.0:
+        raise TailNotConverged(f"comparison (1+mu[+2n^2])^(1/2-t) underflows to 0 at t={t}")
     value = head + tail
     return DistOrderSum(value, head, tail, comparison, value / comparison)
 

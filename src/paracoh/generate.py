@@ -13,6 +13,8 @@ the items that as many successive single draws give.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import forms, repn, tensor
@@ -118,10 +120,8 @@ def random_coboundary_tensor(
     margin: int = 3,
 ) -> tuple[TensorCoeffs, list[TensorCoeffs]]:
     """(f, [h_i]) with f = sum_i U_i h_i on the original windows."""
-    hs = [
-        random_tensor(params, windows, rng, decay, max(margin, 2))
-        for _ in range(params.d)
-    ]
+    arrs = random_coeffs(params, windows, rng, params.d, decay, max(margin, 2))
+    hs = [TensorCoeffs(params, tuple(windows), arr) for arr in arrs]
     f = tensor.zeros(params, windows)
     for i, h in enumerate(hs):
         f = tensor.add(f, tensor.apply_U_factor(h, i))
@@ -136,13 +136,9 @@ def random_form(
     decay: float = 4.0,
     margin: int = 2,
 ) -> LeafwiseForm:
-    import itertools
-
-    comps = {
-        axes: random_tensor(params, windows, rng, decay, margin).coeffs.copy()
-        for axes in itertools.combinations(range(params.d), degree)
-    }
-    return LeafwiseForm(degree, params, tuple(windows), comps)
+    every = list(itertools.combinations(range(params.d), degree))
+    arrs = random_coeffs(params, windows, rng, len(every), decay, margin)
+    return LeafwiseForm(degree, params, tuple(windows), dict(zip(every, arrs)))
 
 
 def random_closed_form(

@@ -17,15 +17,16 @@ one stencil `repn.apply_u_axis_array`, are cached per (parameter, window)
 in O(n) memory; one LAPACK zgbtrs call solves a batch of right-hand sides
 in O(n) per row, and the residual f̂ - Â x̂ is taken directly from the band.
 
-Top degree recurses on the number of factors: split f into f_otimes + f_d,
-solve the leading-factor problems for the split amplitudes F_plus and
-F_minus, solve the last-factor equation row by row for f_d, and assemble.
-The recursion carries a leading batch axis: F_plus and F_minus of every
-item go down as one batch, so each level makes one least-squares call per
-refinement attempt whatever the batch size (`forms` puts every axis-0 slice
-of a form in one batch).  Padded windows keep minimal-norm freedom;
-refinement doubles the padding and accepts once the solution stabilizes on
-the original window.  Acceptance is per group, the rows of one item's
+Top degree recurses on the number of factors, one step per level: split f
+into f_otimes + f_d, solve the leading-factor problems for the split
+amplitudes F_plus and F_minus, solve the last-factor equation row by row for
+f_d (for f itself at d = 1), and assemble.  The recursion carries a leading
+batch axis: every valid amplitude of every item, zero or not, goes down as
+one batch, so each level makes one least-squares call per refinement
+attempt whatever the batch size (`forms` puts every axis-0 slice of a form
+in one batch).  Padded windows keep minimal-norm freedom; refinement
+doubles the padding and accepts once the solution stabilizes on the
+original window.  Acceptance is per group, the rows of one item's
 last-factor problem or of one amplitude, so an item gets the windows and the
 refinement count it gets when solved alone; results come back on the widest
 window, zero outside an earlier group's own.  Each g_i comes from one solve,
@@ -350,51 +351,38 @@ def _solve_top_rec(
     """Recursive solve of a batch: arr[b] is one right-hand side on `windows`.
 
     Returns [(g_i coefficients, batch axis first, g_i windows)] and the
-    worst refinement count.  Each level makes one least-squares batch per
-    operator, and every item keeps the refinements it would get alone.
+    worst refinement count.  Every level takes one step: the valid amplitudes
+    of every item, zero ones included, go down as one batch, and the rows of
+    arr - f_otimes (of arr at d = 1) are solved on the last factor, one
+    refinement group per item, so each keeps the refinements it gets alone.
     Kernel membership is guarded per row against the global scale.
     """
     d = params.d
     batch = arr.shape[0]
     p_last = params.factors[-1]
     w_last = windows[-1]
-    if d == 1:
-        _slice_kernel_guard(arr, p_last, w_last, opts, scale)
-        sol, win, _, refs, _ = _solve_rows_refined(p_last, w_last, arr, opts, scale, batch)
-        return [(sol, (win,))], refs
-    amplitudes, f_ot = _split_last(p_last, w_last, arr)
-    lead_params = params.keep_leading(d - 1)
-    lead_windows = windows[:-1]
-
-    # leading-factor problems: every nonzero split amplitude, F_plus then
-    # F_minus, in one batch; one norm pass picks them for both signs
-    nonzero = sobolev_norm_array(
-        lead_params.factors, lead_windows, np.stack(list(amplitudes.values())), 0.0
-    ) > 0.0
-    picks = {s: np.flatnonzero(row) for s, row in zip(amplitudes, nonzero)}
-    stacked = np.concatenate([amplitudes[s][picks[s]] for s in amplitudes])
-    if len(stacked):
-        partials, refs_worst = _solve_top_rec(lead_params, lead_windows, stacked, opts, scale)
-    else:  # both amplitudes vanish on every item
-        partials, refs_worst = [(stacked, lead_windows)] * (d - 1), 0
     out: list[tuple[np.ndarray, tuple[IndexWindow, ...]]] = []
-    for sols, sol_wins in partials:
-        # g_i = sum_s G_s,i (x) phi_s, added PLUS then MINUS in place on the hull
-        wins = tensor.hull(lead_windows, sol_wins)
-        gi = np.zeros((batch,) + tuple(len(w) for w in wins) + (len(w_last),), dtype=np.complex128)
-        block = tensor.sub_slices(sol_wins, wins)
-        start = 0
-        for s, idx in picks.items():
-            part = sols[start : start + len(idx)]
-            start += len(idx)
-            gi[(idx,) + block] += part[..., None] * phi(p_last, s, w_last)
-        out.append((gi, wins + (w_last,)))
+    refs_worst, rows = 0, arr
+    if d > 1:
+        # leading-factor problems: F_plus then F_minus of every item in one batch
+        amplitudes, f_ot = _split_last(p_last, w_last, arr)
+        signs = valid_signs(p_last)
+        stacked = np.concatenate([amplitudes[s] for s in signs])
+        lead = params.keep_leading(d - 1)
+        partials, refs_worst = _solve_top_rec(lead, windows[:-1], stacked, opts, scale)
+        for sols, sol_wins in partials:
+            # g_i = sum_s G_s,i (x) phi_s, added in place on the sub-solve's windows
+            gi = np.zeros((batch,) + sols.shape[1:] + (len(w_last),), dtype=np.complex128)
+            for s, part in zip(signs, np.split(sols, len(signs))):
+                gi += part[..., None] * phi(p_last, s, w_last)
+            out.append((gi, sol_wins + (w_last,)))
+        rows = arr - f_ot
 
     # last-factor problem: the rows of all items, each item one refinement group
-    rows = (arr - f_ot).reshape(-1, len(w_last))
+    rows = rows.reshape(-1, len(w_last))
     _slice_kernel_guard(rows, p_last, w_last, opts, scale)
     sol, win, _, refs, _ = _solve_rows_refined(p_last, w_last, rows, opts, scale, batch)
-    out.append((sol.reshape(arr.shape[:-1] + (len(win),)), lead_windows + (win,)))
+    out.append((sol.reshape(arr.shape[:-1] + (len(win),)), windows[:-1] + (win,)))
     return out, max(refs_worst, refs)
 
 

@@ -12,10 +12,11 @@ projector live here.
 The per-axis action is `repn.apply_u_axis_array`, imported here by name; it
 is the package's only copy of the generator stencil.  The norm is
 `repn.sobolev_norm_array` on the tensor's factors.  `hull` is the one
-window-hull helper: every sum of arrays on different windows embeds them
-into `hull(...)` first.  The product functionals and the kernel projector
-work on arrays whose leading axes are a batch (`product_dist_array`,
-`kernel_project_array`); the `TensorCoeffs` functions are a batch of one.
+window-hull helper: `add` embeds both arrays into `hull(...)` first, and
+`solver.verify_solution` adds each block in place into the hull's cells.
+The product functionals and the kernel projector work on arrays whose
+leading axes are a batch (`product_dist_array`, `kernel_project_array`);
+the `TensorCoeffs` functions are a batch of one.
 """
 
 from __future__ import annotations

@@ -213,6 +213,26 @@ def test_solve_top_matches_per_amplitude_reference(factors, k, rng):
         _assert_same(arr, wins, g.coeffs, g.windows)
 
 
+def test_zero_item_goes_through_the_same_step(rng):
+    # an all-zero item between kernel items, as primitive_d3's edge slices
+    # arrive: its amplitudes go down with the others and come back zero,
+    # while every other item gets the bits and refinements it gets alone
+    mp = MultiParam((_P, _C, _D))
+    wins = tuple(default_window(p, 4) for p in mp.factors)
+    items = [random_kernel_tensor(mp, wins, rng).coeffs for _ in range(2)]
+    arr = np.stack([items[0], np.zeros_like(items[0]), items[1]])
+    opts, scale = SolveOptions(), max(norm0(TensorCoeffs(mp, wins, a)) for a in items)
+    got, got_refs = solver._solve_top_rec(mp, wins, arr, opts, scale)
+    alone = [_ref_solve_top_rec(mp, wins, a, opts, scale) for a in arr]
+    assert got_refs == max(refs for _, refs in alone)
+    for i, (g, g_wins) in enumerate(got):
+        assert not np.any(g[1])
+        for b in (0, 2):
+            want, want_wins = alone[b][0][i]
+            assert g_wins[i].contains_window(want_wins[i])
+            assert np.array_equal(g[b], tensor.embed_array(want, want_wins, g_wins))
+
+
 # --- per-group acceptance -------------------------------------------------------
 
 

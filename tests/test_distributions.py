@@ -208,6 +208,15 @@ def test_dist_order_sum_tail_overflow_is_typed():
         dist_order_sum(SeriesParam.discrete(60), 62.0)
 
 
+@pytest.mark.parametrize(
+    "param,t", [(SeriesParam.principal(100.0), 100.0), (SeriesParam.discrete(40), 122.0)]
+)
+def test_dist_order_sum_comparison_underflow_is_typed(param, t):
+    # (1+mu[+2n^2])^(1/2-t) underflows to 0 before the tail gives up
+    with pytest.raises(TailNotConverged, match="underflows"):
+        dist_order_sum(param, t)
+
+
 def _dist_minus_loop(p: SeriesParam, k: int) -> complex:
     """The displayed D- formulas, term by term."""
     if p.nu == 0:

@@ -239,6 +239,24 @@ def test_solve_top_keeps_solver_windows(factors, rng):
     assert rep.residual_interior == rep_own.residual_interior
 
 
+def test_vanishing_amplitude_still_pads_its_axis(rng):
+    # f = lead (x) (u(4) - u(5)) has F_plus exactly 0, so g_0 = 0; like every
+    # g_i it comes back padded on its own axis, after one refinement
+    p0, p1 = SeriesParam.principal(1.0), SeriesParam.discrete(1)
+    w0, w1 = default_window(p0, 8), default_window(p1, 8)
+    lead = random_tensor(MultiParam((p0,)), (w0,), rng).coeffs
+    last = basis_vector(p1, 4, w1).coeffs - basis_vector(p1, 5, w1).coeffs
+    f = TensorCoeffs(MultiParam((p0, p1)), (w0, w1), np.multiply.outer(lead, last))
+    assert not np.any(split(f).amplitudes[Sign.PLUS].coeffs)  # the premise
+    opts = SolveOptions()
+    (g0, g1), rep = solve_top(f, opts)
+    assert not np.any(g0.coeffs)
+    assert g0.windows == (expand_window(p0, w0, opts.pad << 1), w1) == (IndexWindow(-24, 24), w1)
+    assert g1.windows[0] == w0
+    assert rep.residual_interior <= 1e-15 * rep.f_norm0
+    assert rep.refinements_used == 1
+
+
 def test_solve_top_obstruction():
     mp = MultiParam((SeriesParam.complementary(0.9), SeriesParam.complementary(0.9)))
     wins = tuple(default_window(p, 32) for p in mp.factors)

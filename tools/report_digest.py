@@ -1,9 +1,9 @@
 """Write the reference report set and print one `sha256  file` line per file.
 
-The set is the built-in default config at d = 1, 2, 3, and the d = 4
-factor slice principal(s) x complementary(0.9) x discrete(1) x principal(3)
-with s = 1, 1.5, 2, 2.5 (which `default_config` cannot build), each with
-seeds 0, 1, 2:
+The set is the reports and `gen` inputs of the built-in default config at
+d = 1, 2, 3, and the reports of the d = 4 factor slice principal(s) x
+complementary(0.9) x discrete(1) x principal(3) with s = 1, 1.5, 2, 2.5
+(which `default_config` cannot build), each with seeds 0, 1, 2:
 
     solve-top          d=1 at K=32 and K=512, d=2 and d=3 at K=32,
                        the d=4 slice at K=8
@@ -11,6 +11,8 @@ seeds 0, 1, 2:
     sweep-bounds       d=2
     solve-form         --degree 1 at d=2 (K=32) and d=3 (K=16),
                        --degree 2 at d=3 (K=32)
+    gen                --kind tensor at d=2 (K=32),
+                       --kind form --degree 1 and --degree 2 at d=3 (K=16)
 
 Reports go to a temporary directory that is removed afterwards, or to DIR
 with `--keep DIR`, which keeps them; file names are printed relative to it.
@@ -61,18 +63,32 @@ def default(d: int):
     return lambda seed, k_per_axis: default_config(d=d, seed=seed, k_per_axis=k_per_axis)
 
 
-# (directory, config of (seed, K), K, command taking the config)
+def report(command):
+    """A report command as a writer of its report into a directory."""
+    return lambda cfg, out: experiments.write_report(command(cfg), out)
+
+
+def gen(kind: str, degree: int | None = None):
+    """`gen --kind KIND [--degree DEGREE]` as a writer into a directory."""
+    return lambda cfg, out: experiments.cmd_gen(cfg, kind, degree, out)
+
+
+# (directory, config of (seed, K), K, writer of the config's files into a directory)
 RUNS = [
-    ("solve-top-d1-k32", default(1), 32, experiments.cmd_solve_top),
-    ("solve-top-d1-k512", default(1), 512, experiments.cmd_solve_top),
-    ("solve-top-d2", default(2), 32, experiments.cmd_solve_top),
-    ("solve-top-d3", default(3), 32, experiments.cmd_solve_top),
-    ("solve-top-d4-k8", d4_slice, 8, experiments.cmd_solve_top),
-    ("verify-invariants", default(2), 32, experiments.cmd_verify_invariants),
-    ("sweep-bounds", default(2), 32, experiments.cmd_sweep_bounds),
-    ("solve-form-deg1-d2", default(2), 32, lambda cfg: experiments.cmd_solve_form(cfg, 1)),
-    ("solve-form-deg1-d3-k16", default(3), 16, lambda cfg: experiments.cmd_solve_form(cfg, 1)),
-    ("solve-form-deg2-d3", default(3), 32, lambda cfg: experiments.cmd_solve_form(cfg, 2)),
+    ("solve-top-d1-k32", default(1), 32, report(experiments.cmd_solve_top)),
+    ("solve-top-d1-k512", default(1), 512, report(experiments.cmd_solve_top)),
+    ("solve-top-d2", default(2), 32, report(experiments.cmd_solve_top)),
+    ("solve-top-d3", default(3), 32, report(experiments.cmd_solve_top)),
+    ("solve-top-d4-k8", d4_slice, 8, report(experiments.cmd_solve_top)),
+    ("verify-invariants", default(2), 32, report(experiments.cmd_verify_invariants)),
+    ("sweep-bounds", default(2), 32, report(experiments.cmd_sweep_bounds)),
+    ("solve-form-deg1-d2", default(2), 32, report(lambda cfg: experiments.cmd_solve_form(cfg, 1))),
+    ("solve-form-deg1-d3-k16", default(3), 16,
+     report(lambda cfg: experiments.cmd_solve_form(cfg, 1))),
+    ("solve-form-deg2-d3", default(3), 32, report(lambda cfg: experiments.cmd_solve_form(cfg, 2))),
+    ("gen-tensor-d2", default(2), 32, gen("tensor")),
+    ("gen-form-deg1-d3-k16", default(3), 16, gen("form", 1)),
+    ("gen-form-deg2-d3-k16", default(3), 16, gen("form", 2)),
 ]
 SEEDS = (0, 1, 2)
 
@@ -90,9 +106,8 @@ def main(argv: list[str] | None = None) -> int:
         where = tempfile.TemporaryDirectory(prefix="report-digest-")
     with where as root:
         for seed in SEEDS:
-            for name, config, k, command in RUNS:
-                cfg = config(seed, k)
-                experiments.write_report(command(cfg), os.path.join(root, f"seed{seed}", name))
+            for name, config, k, write in RUNS:
+                write(config(seed, k), os.path.join(root, f"seed{seed}", name))
         paths = []
         for dirpath, _, files in os.walk(root):
             paths += [os.path.join(dirpath, f) for f in files if f.endswith((".json", ".csv"))]
