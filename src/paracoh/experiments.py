@@ -356,7 +356,7 @@ def cmd_solve_top(cfg: ExperimentConfig, input_docs=None) -> Report:
             "kernel_defect_rel": rep.kernel_defect / fn0,
             "sobolev_ratios": {str(t): r for t, r in rep.sobolev_ratios.items()},
             "max_ratio": max(rep.sobolev_ratios.values(), default=0.0),
-            "refinements": rep.refinements_used,
+            "refinements": rep.refinements_used,  # always 0, kept in the report schema
         }
 
     rows = _solve_components(cfg, input_docs, None, solver.solve_top, row)

@@ -14,10 +14,13 @@ the remaining axes), form the invariant remainder theta for the components
 containing axis 0, recurse on the slices of theta, and assemble.  The
 recursion carries a leading batch axis on every component array: all axis-0
 slices of all forms in the batch go to one recursive call, so the number of
-least-squares calls does not grow with the window.  For degree 1 the
-remainder is a joint-invariant 0-form which must vanish; each form is gated
-by its own ||theta||_0, and a marginal defect sends that form alone to one
-joint least-squares solve over all axes.  A form's norm is the root sum of
+least-squares calls does not grow with the window.  Every top-degree slice
+is solved on its own windows, so only the U_0 in each remainder widens a
+window, by one index: eta is wider than w by at most one index per axis,
+unless the joint fallback below runs on its padded windows.  For degree 1
+the remainder is a joint-invariant 0-form which must vanish; each form is
+gated by its own ||theta||_0, and a marginal defect sends that form alone to
+one joint least-squares solve over all axes.  A form's norm is the root sum of
 its components' squared `repn.sobolev_norm_array` norms, each component
 normed once for all orders: `solve_primitive` norms w once for ||w||_0 and
 every varsigma_d(t), and eta once for every t.
@@ -208,14 +211,12 @@ def _top_degree_slice(
     scale: float,
 ) -> tuple[dict[Axes, np.ndarray], tuple[IndexWindow, ...]]:
     """Primitives of a batch of top-degree forms over the remaining axes, via
-    the coboundary solve; component at (all axes except p) gets sign (-1)^p."""
-    sols, _ = _solve_top_rec(sub_params, sub_windows, f_arr, opts, scale)
-    hull = tensor.hull(*(wins for _, wins in sols))
+    the coboundary solve, on the forms' windows; component at (all axes
+    except p) gets sign (-1)^p."""
+    sols = _solve_top_rec(sub_params, sub_windows, f_arr, opts, scale)
     every = tuple(range(sub_params.d))
-    comps = {}
-    for p, (arr, wins) in enumerate(sols):
-        comps[every[:p] + every[p + 1 :]] = (-1.0) ** p * tensor.embed_array(arr, wins, hull)
-    return comps, hull
+    comps = {every[:p] + every[p + 1 :]: (-1.0) ** p * arr for p, arr in enumerate(sols)}
+    return comps, sub_windows
 
 
 def _primitive_rec(

@@ -4,7 +4,9 @@ Every quantity here is a `fractions.Fraction`.  For real rational nu the
 generator's matrix entries are i times rationals, so identities of the form
 D(U u(k)) = 0 reduce to a rational sum being exactly zero; the factor of i
 is carried implicitly.  Applicable to nu = 0 (principal), rational
-complementary nu, and discrete nu = 2n-1.
+complementary nu, and discrete nu = 2n-1.  `solve_u_exact` solves U g = f by
+the tridiagonal recurrence, as an oracle for the solver it shares no code
+with.
 """
 
 from __future__ import annotations
@@ -31,6 +33,38 @@ def u_action_exact(kind: Kind, nu: Fraction, n: int | None, k: int) -> dict[int,
     elif c_minus != 0:
         raise AssertionError("lowest weight must be annihilated")
     return out
+
+
+def solve_u_exact(
+    kind: Kind, nu: Fraction, n: int | None, lo: int, hi: int, f: dict[int, Fraction]
+) -> dict[int, Fraction]:
+    """g on [lo, hi] with U g = i f, i.e. the i-factored generator of
+    `u_action_exact` maps g to f on the output window [lo - 1, hi + 1].
+
+    The output rows lo to hi - 1 give g(lo + 1), ..., g(hi) from g(lo) upward;
+    the rows left, lo - 1 (where it exists), hi and hi + 1, fix g(lo) and must
+    then hold exactly.  Raises ValueError if they do not: no g on [lo, hi]
+    solves the equation.
+    """
+    if any(not lo - 1 <= m <= hi + 1 for m in f):
+        raise ValueError(f"f reaches past the output window [{lo - 1}, {hi + 1}]")
+    cols = {k: u_action_exact(kind, nu, n, k) for k in range(lo, hi + 1)}
+
+    def row(m: int, g: dict[int, Fraction]) -> Fraction:
+        return sum((cols[k].get(m, 0) * g[k] for k in (m - 1, m, m + 1) if k in g), Fraction(0))
+
+    def upward(rhs: dict[int, Fraction], g_lo: Fraction) -> dict[int, Fraction]:
+        g = {lo: g_lo}
+        for m in range(lo, hi):
+            g[m + 1] = (rhs.get(m, 0) - row(m, g)) / cols[m + 1][m]
+        return g
+
+    part, hom = upward(f, Fraction(0)), upward({}, Fraction(1))
+    left = [(f.get(m, 0) - row(m, part), row(m, hom)) for m in (lo - 1, hi, hi + 1)]
+    t = next((a / b for a, b in left if b != 0), Fraction(0))
+    if any(a != b * t for a, b in left):
+        raise ValueError(f"U g = i f has no solution g on [{lo}, {hi}]")
+    return {k: part[k] + t * hom[k] for k in part}
 
 
 def dist_value_exact(kind: Kind, nu: Fraction, n: int | None, tag: str, k: int) -> Fraction:

@@ -1,13 +1,15 @@
 """Coboundary solvers: the degree-1 base case, the splitting, the recursion.
 
 The degree-1 equation U g = f (`solve_top` on a rank-1 tensor) is solved as
-a weighted least-squares problem on a padded window.  The truncated
+a weighted least-squares problem on f's own window.  The truncated
 operator is a full-column-rank banded matrix whose cokernel is exactly the
 span of the restricted invariant functionals, so for inputs annihilated by
 those functionals the truncated system is consistent and the (unique)
-least-squares solution is exact up to rounding.  Obstructed inputs leave a
-residual bounded below by the dual certificate |D(f)| / ||Riesz(D)||, which
-`obstruction_certificate` reports.
+least-squares solution is exact up to rounding.  U is tridiagonal, so that
+solution is the recurrence solved upward from f's lower window edge: it
+vanishes outside f's window, and a wider window would only add zeros.
+Obstructed inputs leave a residual bounded below by the dual certificate
+|D(f)| / ||Riesz(D)||, which `obstruction_certificate` reports.
 
 The least-squares problem min ||f̂ - Â x̂|| for the weighted generator
 Â = w_out U / w_in goes through its augmented system [[a I, Â], [Âᴴ, 0]],
@@ -22,26 +24,17 @@ into f_otimes + f_d, solve the leading-factor problems for the split
 amplitudes F_plus and F_minus, solve the last-factor equation row by row for
 f_d (for f itself at d = 1), and assemble.  The recursion carries a leading
 batch axis: every valid amplitude of every item, zero or not, goes down as
-one batch, so each level makes one least-squares call per refinement
-attempt whatever the batch size (`forms` puts every axis-0 slice of a form
-in one batch).  Padded windows keep minimal-norm freedom; refinement
-doubles the padding and accepts once the solution stabilizes on the
-original window.  Acceptance is per group, the rows of one item's
-last-factor problem or of one amplitude, so an item gets the windows and the
-refinement count it gets when solved alone; results come back on the widest
-window, zero outside an earlier group's own.  Each g_i comes from one solve,
-so it is padded on axis i only and keeps f's windows elsewhere; it is
-returned and verified on those windows.  `verify_solution` never holds the
-residual on the hull of those windows: it sums it cell by cell, cutting the
-hull at f's window edges and skipping the cells no block reaches, where the
-residual is exactly zero.  Every norm goes through `repn.sobolev_norm_array`:
-the verification norms f once for ||f||_0 and every sigma_d(t), and each
-g_i once for every t.
+one batch, so each level makes one least-squares call whatever the batch
+size (`forms` puts every axis-0 slice of a form in one batch).  Every
+g_i comes back on f's windows, and every row whose residual misses
+tol_residual * scale raises NoConvergence.  `verify_solution` sums the
+residual on one hull, f's windows widened by one on each axis.  Every norm
+goes through `repn.sobolev_norm_array`: the verification norms f once for
+||f||_0 and every sigma_d(t), and each g_i once for every t.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -58,7 +51,15 @@ from .tensor import TensorCoeffs, norm0, valid_tags
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Window padding, tolerances, and reporting knobs for all solvers."""
+    """Tolerances and reporting knobs for all solvers.
+
+    Every solve runs on its input's own windows, one least-squares call per
+    level.  Padded windows remain only in `least_squares_probe` and the joint
+    degree-1 fallback of `forms.solve_primitive`, which read `pad`, and in
+    `obstruction_certificate`, which takes its own.  `max_refine` no longer
+    changes a solve; it stays a validated key because configs and the
+    benchmark gate pin it.
+    """
 
     pad: int = 8
     tol_kernel: float = 1e-8
@@ -72,7 +73,10 @@ class SolveOptions:
         if self.tol_kernel <= 0 or self.tol_residual <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_refine < 1:
-            raise ValueError("need at least one refinement for stabilization")
+            raise ValueError(
+                f"max_refine must be >= 1, got {self.max_refine} (the key is validated "
+                "for config compatibility; solves make no refinements)"
+            )
 
 
 @dataclass
@@ -80,7 +84,9 @@ class SolveReport:
     """Residual and Sobolev-ratio diagnostics for one solver call.
 
     residual_interior and kernel_defect are absolute ||.||_0 quantities;
-    divide by f_norm0 for the relative gates.
+    divide by f_norm0 for the relative gates.  refinements_used is always 0,
+    as every solve runs once on its input's windows; it stays because the
+    report schema has a `refinements` key.
     """
 
     residual_interior: float
@@ -207,55 +213,23 @@ def _solve_rows_refined(
     rhs: np.ndarray,
     opts: SolveOptions,
     scale: float,
-    groups: int = 1,
-) -> tuple[np.ndarray, IndexWindow, float, int, np.ndarray]:
-    """Refinement loop for a batch sharing one operator.
+) -> tuple[np.ndarray, IndexWindow, float, int]:
+    """One least-squares solve of a batch sharing one operator, on the rows'
+    own window.
 
-    The rows of rhs form `groups` equal consecutive groups.  A group is
-    accepted once each of its rows has a residual below tol_residual*scale
-    and its solutions agree on the previous window to the same tolerance;
-    the other groups are solved again with the padding doubled.  Returns
-    (solutions on the widest window, that window, worst residual, most
-    refinements, refinements per group).  A group accepted earlier is zero
-    outside its own window, which is expand_window(param, win_rhs,
-    opts.pad << its refinements).
+    Returns (solutions on win_rhs, win_rhs, worst residual, refinement count);
+    the count is always 0 and stays in the result for its readers.  Raises
+    NoConvergence if some row's residual exceeds tol_residual * scale.
     """
+    sol, resid = _lstsq_rows(param, win_rhs, rhs, win_rhs)
     tol = opts.tol_residual * scale
-    by_group = rhs.reshape(groups, -1, rhs.shape[-1])
-    pending = np.arange(groups)
-    refs = np.zeros(groups, dtype=int)
-    accepted = []  # (groups, their solutions, window), one entry per attempt that accepts
-    worst = 0.0
-    pad = opts.pad
-    prev = None
-    for attempt in range(opts.max_refine + 1):
-        win_in = expand_window(param, win_rhs, pad)
-        rows = by_group[pending].reshape(-1, rhs.shape[-1])
-        sol, resid = _lstsq_rows(param, win_in, rows, win_rhs)
-        sol = sol.reshape(len(pending), -1, len(win_in))
-        resid = resid.reshape(len(pending), -1).max(axis=1, initial=0.0)
-        if prev is not None:
-            prev_sol, prev_win = prev
-            off = prev_win.lo - win_in.lo
-            diff = sol[..., off : off + len(prev_win)] - prev_sol
-            drift = sobolev_norm_array((param,), (prev_win,), diff, 0.0).max(axis=1, initial=0.0)
-            ok = (drift <= tol) & (resid <= tol)
-            accepted.append((pending[ok], sol[ok], win_in))
-            refs[pending[ok]] = attempt
-            worst = max(worst, float(np.max(resid[ok], initial=0.0)))
-            pending, sol, resid = pending[~ok], sol[~ok], resid[~ok]
-            if not len(pending):  # every group on this, the widest, window
-                out = np.zeros(by_group.shape[:2] + (len(win_in),), dtype=np.complex128)
-                for picked, done, win in accepted:
-                    off = win.lo - win_in.lo
-                    out[picked, :, off : off + len(win)] = done
-                return out.reshape(-1, len(win_in)), win_in, worst, attempt, refs
-        prev = (sol, win_in)
-        pad *= 2
-    raise NoConvergence(
-        f"degree-1 solve did not stabilize after {opts.max_refine} refinements "
-        f"(worst residual {float(np.max(resid, initial=0.0)):.3e}, budget {tol:.3e})"
-    )
+    worst = float(np.max(resid, initial=0.0))
+    if not np.all(resid <= tol):
+        raise NoConvergence(
+            f"degree-1 residual {worst:.3e} on {param.label()} [{win_rhs.lo}, {win_rhs.hi}] "
+            f"above tol_residual * scale = {tol:.3e}"
+        )
+    return sol, win_rhs, worst, 0
 
 
 # --- splitting --------------------------------------------------------------
@@ -347,43 +321,41 @@ def _solve_top_rec(
     arr: np.ndarray,
     opts: SolveOptions,
     scale: float,
-) -> tuple[list[tuple[np.ndarray, tuple[IndexWindow, ...]]], int]:
+) -> list[np.ndarray]:
     """Recursive solve of a batch: arr[b] is one right-hand side on `windows`.
 
-    Returns [(g_i coefficients, batch axis first, g_i windows)] and the
-    worst refinement count.  Every level takes one step: the valid amplitudes
-    of every item, zero ones included, go down as one batch, and the rows of
-    arr - f_otimes (of arr at d = 1) are solved on the last factor, one
-    refinement group per item, so each keeps the refinements it gets alone.
-    Kernel membership is guarded per row against the global scale.
+    Returns the g_i coefficients, batch axis first, each on `windows`.  Every
+    level takes one step and makes one least-squares call: the valid
+    amplitudes of every item, zero ones included, go down as one batch, and
+    the rows of arr - f_otimes (of arr at d = 1) of every item are solved on
+    the last factor's window.  Kernel membership is guarded per row against
+    the global scale.
     """
     d = params.d
-    batch = arr.shape[0]
     p_last = params.factors[-1]
     w_last = windows[-1]
-    out: list[tuple[np.ndarray, tuple[IndexWindow, ...]]] = []
-    refs_worst, rows = 0, arr
+    out: list[np.ndarray] = []
+    rows = arr
     if d > 1:
         # leading-factor problems: F_plus then F_minus of every item in one batch
         amplitudes, f_ot = _split_last(p_last, w_last, arr)
         signs = valid_signs(p_last)
         stacked = np.concatenate([amplitudes[s] for s in signs])
         lead = params.keep_leading(d - 1)
-        partials, refs_worst = _solve_top_rec(lead, windows[:-1], stacked, opts, scale)
-        for sols, sol_wins in partials:
-            # g_i = sum_s G_s,i (x) phi_s, added in place on the sub-solve's windows
-            gi = np.zeros((batch,) + sols.shape[1:] + (len(w_last),), dtype=np.complex128)
+        for sols in _solve_top_rec(lead, windows[:-1], stacked, opts, scale):
+            # g_i = sum_s G_s,i (x) phi_s
+            gi = np.zeros(arr.shape, dtype=np.complex128)
             for s, part in zip(signs, np.split(sols, len(signs))):
                 gi += part[..., None] * phi(p_last, s, w_last)
-            out.append((gi, sol_wins + (w_last,)))
+            out.append(gi)
         rows = arr - f_ot
 
-    # last-factor problem: the rows of all items, each item one refinement group
+    # last-factor problem: the rows of all items
     rows = rows.reshape(-1, len(w_last))
     _slice_kernel_guard(rows, p_last, w_last, opts, scale)
-    sol, win, _, refs, _ = _solve_rows_refined(p_last, w_last, rows, opts, scale, batch)
-    out.append((sol.reshape(arr.shape[:-1] + (len(win),)), windows[:-1] + (win,)))
-    return out, max(refs_worst, refs)
+    sol, _, _, _ = _solve_rows_refined(p_last, w_last, rows, opts, scale)
+    out.append(sol.reshape(arr.shape))
+    return out
 
 
 def solve_top(
@@ -391,10 +363,10 @@ def solve_top(
 ) -> tuple[list[TensorCoeffs], SolveReport]:
     """Solve U_1 g_1 + ... + U_d g_d = f for f in the joint kernel.
 
-    Returns d tensors plus diagnostics.  g_i keeps the windows its solve
-    produced: f's windows on every axis but i, padded on axis i.  Raises
-    NotInKernel if some product functional does not vanish on f, and
-    NoConvergence if the residual survives refinement.
+    Returns d tensors plus diagnostics.  Every g_i is on f's windows, from
+    one least-squares call per level of the recursion.  Raises NotInKernel
+    if some product functional does not vanish on f, and NoConvergence if a
+    residual misses tol_residual.
     """
     fn0 = norm0(f)
     defects = tensor.kernel_defects(f)
@@ -410,10 +382,9 @@ def solve_top(
     if fn0 == 0.0:
         zero = [tensor.zeros(f.params, f.windows) for _ in range(f.d)]
         return zero, SolveReport(0.0, 0.0, 0.0, {t: 0.0 for t in opts.t_list}, 0)
-    raw, refs = _solve_top_rec(f.params, f.windows, f.coeffs[None], opts, fn0)
-    g_list = [TensorCoeffs(f.params, wins, arr[0]) for arr, wins in raw]
+    raw = _solve_top_rec(f.params, f.windows, f.coeffs[None], opts, fn0)
+    g_list = [TensorCoeffs(f.params, f.windows, arr[0]) for arr in raw]
     report = verify_solution(f, g_list, opts.t_list)
-    report.refinements_used = refs
     if report.residual_interior > opts.tol_residual * fn0:
         raise NoConvergence(
             f"top-degree residual {report.residual_interior:.3e} above "
@@ -431,16 +402,12 @@ def verify_solution(
     ratios ||g_i||_t / ||f||_{sigma_d(t)}.
 
     Each g_i is used on its own windows and must be over f's factors.  The
-    residual is taken over the whole hull of the windows; truncated
-    kernel-consistent systems are exactly solvable, so no edge region is
-    excluded.  It is never held on that hull: each axis of the hull is cut
-    at f's window edges, and each cell of the cut that some block touches
-    gets -f, U_0 g_0, ..., U_{d-1} g_{d-1} added in that order, in place,
-    before its squared norm joins the total.  Every residual entry is the
-    sum the whole hull would hold; only the grouping of the final sum
-    differs.  The cut depends on f and the hull alone, so zero-filling the
-    g_i into larger windows with the same hull leaves the residual bitwise
-    unchanged.
+    residual is taken over the whole hull of the windows of f and the U_i g_i
+    (f's windows widened by one on each axis, for g_i on f's windows);
+    truncated kernel-consistent systems are exactly solvable, so no edge
+    region is excluded.  -f, U_0 g_0, ..., U_{d-1} g_{d-1} are added into
+    one array on the hull in that order, so zero-filling the g_i into larger
+    windows with the same hull leaves the residual bitwise unchanged.
     """
     if len(g_list) != f.d:
         raise ValueError(f"expected {f.d} primitives, got {len(g_list)}")
@@ -453,34 +420,15 @@ def verify_solution(
                for g in g_list]
     terms = [tensor.apply_U_factor(g, i) for i, g in enumerate(g_list)]
     wins = tensor.hull(f.windows, *(u.windows for u in terms))
-    cuts = [  # below f, f, above f on each axis
-        [
-            IndexWindow(lo, hi)
-            for lo, hi in ((h.lo, w.lo - 1), (w.lo, w.hi), (w.hi + 1, h.hi))
-            if lo <= hi
-        ]
-        for w, h in zip(f.windows, wins)
-    ]
-    blocks = [(np.subtract, f)] + [(np.add, u) for u in terms]
-    resid_sq = 0.0
-    for cell in itertools.product(*cuts):
-        touching = [
-            (op, b)
-            for op, b in blocks
-            if all(w.lo <= c.hi and c.lo <= w.hi for w, c in zip(b.windows, cell))
-        ]
-        if not touching:  # the residual is exactly zero here
-            continue
-        acc = np.zeros(tuple(len(c) for c in cell), dtype=np.complex128)
-        for op, b in touching:
-            common = tuple(w.intersect(c) for w, c in zip(b.windows, cell))
-            view = acc[tensor.sub_slices(common, cell)]
-            op(view, b.coeffs[tensor.sub_slices(common, b.windows)], out=view)
-        resid_sq += sobolev_norm_array(f.params.factors, cell, acc, 0.0) ** 2
+    resid = np.zeros(tuple(len(w) for w in wins), dtype=np.complex128)
+    for op, b in [(np.subtract, f)] + [(np.add, u) for u in terms]:
+        view = resid[tensor.sub_slices(b.windows, wins)]
+        op(view, b.coeffs, out=view)
+    residual = sobolev_norm_array(f.params.factors, wins, resid, 0.0)
     kernel_defect = max(tensor.kernel_defects(f).values(), default=0.0)
     ratios = {t: max(nums) / denom if denom > 0 else 0.0
               for t, denom, nums in zip(t_list, denoms, zip(*g_norms))}
-    return SolveReport(float(np.sqrt(resid_sq)), fn0, kernel_defect, ratios, 0)
+    return SolveReport(float(residual), fn0, kernel_defect, ratios, 0)
 
 
 # --- obstruction probes ------------------------------------------------------

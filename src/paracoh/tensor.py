@@ -13,7 +13,7 @@ The per-axis action is `repn.apply_u_axis_array`, imported here by name; it
 is the package's only copy of the generator stencil.  The norm is
 `repn.sobolev_norm_array` on the tensor's factors.  `hull` is the one
 window-hull helper: `add` embeds both arrays into `hull(...)` first, and
-`solver.verify_solution` adds each block in place into the hull's cells.
+`solver.verify_solution` adds each block in place into one hull array.
 The product functionals and the kernel projector work on arrays whose
 leading axes are a batch (`product_dist_array`, `kernel_project_array`);
 the `TensorCoeffs` functions are a batch of one.

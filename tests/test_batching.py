@@ -4,8 +4,8 @@
 axis-0 slice, and F_plus with F_minus, goes through one recursive call, and
 each operator and level makes one `_solve_rows_refined` call.  The reference
 below is the per-slice code as it stood before batching, kept here as the
-oracle: one recursive call per slice and per split amplitude, one refinement
-loop per slice.
+oracle: one recursive call per slice and per split amplitude, one degree-1
+solve per slice.
 """
 
 import itertools
@@ -23,7 +23,7 @@ from paracoh import (
 )
 from paracoh import solver, tensor
 from paracoh.distributions import Sign, phi
-from paracoh.errors import ThetaNotVanishing
+from paracoh.errors import NoConvergence, ThetaNotVanishing
 from paracoh.forms import _joint_degree1_solve, _primitive_rec, exterior_derivative, form_norm0
 from paracoh.generate import (
     random_closed_form,
@@ -31,7 +31,6 @@ from paracoh.generate import (
     random_form,
     random_kernel_tensor,
 )
-from paracoh.params import expand_window
 from paracoh.solver import _slice_kernel_guard, _solve_rows_refined, split
 from paracoh.tensor import TensorCoeffs, basis_vector, norm0, tensor_sobolev_norm
 
@@ -45,21 +44,17 @@ def _ref_solve_top_rec(params, windows, arr, opts, scale):
     if d == 1:
         rows = arr[None, :]
         _slice_kernel_guard(rows, p_last, w_last, opts, scale)
-        sol, win, _, refs, _ = _solve_rows_refined(p_last, w_last, rows, opts, scale)
-        return [(sol[0], (win,))], refs
+        sol, win, _, _ = _solve_rows_refined(p_last, w_last, rows, opts, scale)
+        return [(sol[0], (win,))]
     f = TensorCoeffs(params, windows, arr)
     parts = split(f)
     lead_params = params.keep_leading(d - 1)
     lead_windows = windows[:-1]
-    refs_worst = 0
     partials = {}
     for s in (Sign.PLUS, Sign.MINUS):
         amp = parts.amplitudes[s]
         if norm0(amp) > 0.0:
-            partials[s], refs = _ref_solve_top_rec(
-                lead_params, amp.windows, amp.coeffs, opts, scale
-            )
-            refs_worst = max(refs_worst, refs)
+            partials[s] = _ref_solve_top_rec(lead_params, amp.windows, amp.coeffs, opts, scale)
     out = []
     for i in range(d - 1):
         wins = tensor.hull(lead_windows, *(sols[i][1] for sols in partials.values()))
@@ -71,14 +66,13 @@ def _ref_solve_top_rec(params, windows, arr, opts, scale):
     lead_shape = tuple(len(w) for w in lead_windows)
     rows = parts.f_d.coeffs.reshape(int(np.prod(lead_shape)), len(w_last))
     _slice_kernel_guard(rows, p_last, w_last, opts, scale)
-    sol, win, _, refs, _ = _solve_rows_refined(p_last, w_last, rows, opts, scale)
-    refs_worst = max(refs_worst, refs)
+    sol, win, _, _ = _solve_rows_refined(p_last, w_last, rows, opts, scale)
     out.append((sol.reshape(lead_shape + (len(win),)), lead_windows + (win,)))
-    return out, refs_worst
+    return out
 
 
 def _ref_top_degree_slice(sub_params, sub_windows, f_arr, opts, scale):
-    sols, _ = _ref_solve_top_rec(sub_params, sub_windows, f_arr, opts, scale)
+    sols = _ref_solve_top_rec(sub_params, sub_windows, f_arr, opts, scale)
     hull = tensor.hull(*(wins for _, wins in sols))
     every = tuple(range(sub_params.d))
     comps = {}
@@ -205,9 +199,8 @@ def test_solve_top_matches_per_amplitude_reference(factors, k, rng):
     mp = MultiParam(factors)
     f = random_kernel_tensor(mp, tuple(default_window(p, k) for p in mp.factors), rng)
     opts = SolveOptions()
-    want, want_refs = _ref_solve_top_rec(mp, f.windows, f.coeffs, opts, norm0(f))
+    want = _ref_solve_top_rec(mp, f.windows, f.coeffs, opts, norm0(f))
     g_list, rep = solve_top(f, opts)
-    assert rep.refinements_used == want_refs
     for g, (arr, wins) in zip(g_list, want):
         assert g.windows == wins
         _assert_same(arr, wins, g.coeffs, g.windows)
@@ -216,51 +209,46 @@ def test_solve_top_matches_per_amplitude_reference(factors, k, rng):
 def test_zero_item_goes_through_the_same_step(rng):
     # an all-zero item between kernel items, as primitive_d3's edge slices
     # arrive: its amplitudes go down with the others and come back zero,
-    # while every other item gets the bits and refinements it gets alone
+    # while every other item gets the bits it gets alone
     mp = MultiParam((_P, _C, _D))
     wins = tuple(default_window(p, 4) for p in mp.factors)
     items = [random_kernel_tensor(mp, wins, rng).coeffs for _ in range(2)]
     arr = np.stack([items[0], np.zeros_like(items[0]), items[1]])
     opts, scale = SolveOptions(), max(norm0(TensorCoeffs(mp, wins, a)) for a in items)
-    got, got_refs = solver._solve_top_rec(mp, wins, arr, opts, scale)
+    got = solver._solve_top_rec(mp, wins, arr, opts, scale)
     alone = [_ref_solve_top_rec(mp, wins, a, opts, scale) for a in arr]
-    assert got_refs == max(refs for _, refs in alone)
-    for i, (g, g_wins) in enumerate(got):
-        assert not np.any(g[1])
+    for i, g in enumerate(got):
+        assert g.shape == arr.shape and not np.any(g[1])
         for b in (0, 2):
-            want, want_wins = alone[b][0][i]
-            assert g_wins[i].contains_window(want_wins[i])
-            assert np.array_equal(g[b], tensor.embed_array(want, want_wins, g_wins))
+            want, want_wins = alone[b][i]
+            assert want_wins == wins
+            assert np.array_equal(g[b], want)
 
 
-# --- per-group acceptance -------------------------------------------------------
+# --- obstructed rows ------------------------------------------------------------
 
 
 def _group(p, win, eps, rng, rows=2):
-    """Consistent rows plus eps times an obstructed one; eps sets how many
-    refinements the drift between paddings needs to fall below the tolerance."""
+    """Consistent rows plus eps times an obstructed one, u at the lowest weight."""
     bump = basis_vector(p, p.lowest, win).coeffs
     consistent = [random_coboundary_vector(p, win, rng)[0].coeffs for _ in range(rows)]
     return np.stack(consistent) + eps * bump
 
 
-def test_groups_keep_their_own_refinements(rng):
+def test_obstructed_group_raises_no_convergence(rng):
+    # eps = 8e-6 leaves a residual of 2.5e-8 > tol_residual on the rows' window:
+    # an obstruction, which no wider window may hide
     p = SeriesParam.discrete(3)
     win = default_window(p, 16)
     opts = SolveOptions()
-    groups = [_group(p, win, eps, rng) for eps in (8e-6, 0.0, 5e-6)]
-    alone = [_solve_rows_refined(p, win, g, opts, 1.0) for g in groups]
-    assert [out[3] for out in alone] == [3, 1, 2]  # the premise: different counts alone
-
-    sol, widest, _, most, refs = _solve_rows_refined(p, win, np.concatenate(groups), opts, 1.0, 3)
-    assert most == 3 and list(refs) == [3, 1, 2]
-    assert widest == alone[0][1]
-    for i, (g_sol, g_win, _, g_refs, _) in enumerate(alone):
-        assert g_win == expand_window(p, win, opts.pad << g_refs)
-        mine = sol[2 * i : 2 * i + 2]
-        off = g_win.lo - widest.lo
-        assert np.array_equal(mine[:, off : off + len(g_win)], g_sol)
-        assert not np.any(mine[:, :off]) and not np.any(mine[:, off + len(g_win) :])
+    obstructed, consistent = _group(p, win, 8e-6, rng), _group(p, win, 0.0, rng)
+    with pytest.raises(NoConvergence, match="residual 2.5"):
+        _solve_rows_refined(p, win, obstructed, opts, 1.0)
+    with pytest.raises(NoConvergence):  # one row that misses fails the batch
+        _solve_rows_refined(p, win, np.concatenate([consistent, obstructed]), opts, 1.0)
+    sol, sol_win, worst, refs = _solve_rows_refined(p, win, consistent, opts, 1.0)
+    assert sol.shape == consistent.shape and sol_win == win
+    assert worst <= opts.tol_residual and refs == 0
 
 
 # --- the call count does not grow with K ---------------------------------------
@@ -284,8 +272,8 @@ def test_lstsq_calls_do_not_grow_with_k(degree, monkeypatch):
         calls.clear()
         solve_primitive(w)
         counts.append(len(calls))
-    # two attempts per (operator, level): one level at degree 1, three at degree 2
-    assert counts[0] == counts[1] <= 6
+    # one call per (operator, level): one level at degree 1, three at degree 2
+    assert counts == [{1: 1, 2: 3}[degree]] * 2
 
 
 def test_degree1_gate_per_form(rng, monkeypatch):

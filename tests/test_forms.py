@@ -1,5 +1,7 @@
 """Leafwise complex: d o d = 0, restriction identities, primitives, schedules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from paracoh.forms import (
     zero_form,
 )
 from paracoh.generate import random_closed_form, random_form, random_kernel_tensor
+from paracoh.params import expand_window
 from paracoh.tensor import norm0, product_dist_evaluate, valid_tags
 
 
@@ -160,6 +163,44 @@ def test_solve_primitive_round_trip(d, n, rng):
         # independent residual check
         resid = _form_difference(exterior_derivative(eta), w)
         assert form_norm0(resid) <= 1e-6 * form_norm0(w)
+
+
+_D4 = (
+    SeriesParam.principal(1.0),
+    SeriesParam.complementary(0.9),
+    SeriesParam.discrete(1),
+    SeriesParam.principal(3.0),
+)
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
+def test_primitive_is_at_most_one_index_wider(d, n, rng):
+    # every solve runs on its input's windows, and only the U_0 of a
+    # remainder widens one, by an index: at degree 1 eta is on w's windows
+    mp = MultiParam(_D4[:d])
+    w, _ = random_closed_form(mp, tuple(default_window(p, 4) for p in mp.factors), n, rng)
+    eta, rep = solve_primitive(w)
+    assert rep.residual_interior <= 1e-8 * rep.f_norm0
+    for p, e_win, w_win in zip(mp.factors, eta.windows, w.windows):
+        assert e_win.contains_window(w_win)
+        assert expand_window(p, w_win, 1).contains_window(e_win)
+    if n == 1:
+        assert eta.windows == w.windows
+
+
+def test_primitive_d4_memory_stays_on_its_windows(rng):
+    # d=4, K=8, degree 3: eta on windows one index wider than w's holds 84k
+    # entries per component; nested padded solves would make it 5.4M
+    mp = MultiParam(_D4)
+    w, _ = random_closed_form(mp, tuple(default_window(p, 8) for p in mp.factors), 3, rng)
+    tracemalloc.start()
+    try:
+        _, rep = solve_primitive(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.residual_interior <= 1e-8 * rep.f_norm0
+    assert peak < 100 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
 
 
 def test_solve_primitive_zero():

@@ -14,6 +14,7 @@ import pytest
 from paracoh import MultiParam, SeriesParam, default_window, repn
 from paracoh.forms import form_sobolev_norm, solve_primitive
 from paracoh.generate import random_closed_form, random_coeffs, random_form, random_kernel_tensor
+from paracoh.params import expand_window
 from paracoh.solver import solve_top, verify_solution
 
 SERIES = (
@@ -99,9 +100,10 @@ def test_verify_solution_norms_each_array_once(monkeypatch, rng):
     verify_solution(f, g_list, (1.0, 2.0))
     # f at (0, sigma_2(1), sigma_2(2)) and each g_i at (1, 2): one build each
     assert builds.weight == collections.Counter([f.windows] + [g.windows for g in g_list])
-    # ||f||_0 comes from that pass: f's windows get one more build, the
-    # residual's middle cell
-    assert builds.basis[f.windows] == 1
+    # ||f||_0 comes from that pass; the residual's one hull, f's windows
+    # widened by one, gets the only other build
+    hull = tuple(expand_window(p, w, 1) for p, w in zip(params.factors, windows))
+    assert builds.basis == collections.Counter([hull])
 
 
 def test_solve_primitive_norms_each_component_once(monkeypatch, rng):
