@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import forms, generate, rational, repn, serialize, solver, tensor
+from . import __version__, forms, generate, rational, repn, serialize, solver, tensor
 from .config import ComponentConfig, ExperimentConfig, config_hash
 from .distributions import (
     dist_order_sum,
@@ -41,13 +41,6 @@ from .params import IndexWindow, Kind, MultiParam, SeriesParam, default_window
 from .parallel import parallel_map
 from .repn import apply_u_axis_array, basis_norm_sq_array, u_matrix
 
-try:  # package version for report metadata
-    from importlib.metadata import version as _pkg_version
-
-    VERSION = _pkg_version("paracoh")
-except Exception:  # pragma: no cover
-    VERSION = "0.1.0"
-
 
 @dataclass
 class Report:
@@ -55,7 +48,7 @@ class Report:
     passed: bool
     config_hash: str
     seed: int
-    version: str = VERSION
+    version: str = __version__
     metadata: dict = field(default_factory=dict)
     components: list = field(default_factory=list)
     tables: dict = field(default_factory=dict)

@@ -16,8 +16,9 @@ The least-squares problem min ||f̂ - Â x̂|| for the weighted generator
 interleaved into a band matrix (`_band_factor`), so the normal equations
 are never formed.  The band LU and the three diagonals of Â, read from the
 one stencil `repn.apply_u_axis_array`, are cached per (parameter, window)
-in O(n) memory; one LAPACK zgbtrs call solves a batch of right-hand sides
-in O(n) per row, and the residual f̂ - Â x̂ is taken directly from the band.
+in O(n) memory; one LAPACK zgbtrs call (`_lapack`, in numpy's own OpenBLAS)
+solves a batch of right-hand sides in O(n) per row, and the residual
+f̂ - Â x̂ is taken directly from the band.
 
 Top degree recurses on the number of factors, one step per level: split f
 into f_otimes + f_d, solve the leading-factor problems for the split
@@ -39,9 +40,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lapack
 
-from . import tensor
+from . import _lapack, tensor
 from .distributions import Sign, dist_values_array, phi, valid_signs
 from .errors import NoConvergence, NotInKernel, ParamMismatch
 from .params import IndexWindow, MultiParam, SeriesParam, expand_window
@@ -134,7 +134,7 @@ _DIAG = _KL + _KU  # row of the main diagonal in LAPACK band storage
 @dataclass(frozen=True)
 class _Factor:
     lu: np.ndarray     # zgbtrf band LU of the interleaved augmented system
-    piv: np.ndarray
+    piv: np.ndarray    # its pivots, 1-based (0-based from the scipy fallback)
     wu: np.ndarray     # (3, n): w_out U at (j + off + delta, j), delta = -1, 0, 1
     win_out: IndexWindow
     w_in: np.ndarray
@@ -159,7 +159,7 @@ def _band_factor(param: SeriesParam, lo: int, hi: int) -> _Factor:
             "floating-point range; the band factor needs finite positive weights"
         )
     wu = np.zeros((3, n), dtype=np.complex128)
-    ab = np.zeros((2 * _KL + _KU + 1, 2 * m - 1), dtype=np.complex128)
+    ab = np.zeros((2 * _KL + _KU + 1, 2 * m - 1), dtype=np.complex128, order="F")
     ab[_DIAG, ::2] = _ALPHA
     ab[_DIAG, 1 : 2 * off : 2] = 1.0  # the odd slot left over below x̂_0
     for delta in (-1, 0, 1):
@@ -169,7 +169,7 @@ def _band_factor(param: SeriesParam, lo: int, hi: int) -> _Factor:
         a_hat = wu[delta + 1, j] / w_in[j]
         ab[_DIAG + 2 * delta - 1, 2 * (j + off) + 1] = a_hat
         ab[_DIAG + 1 - 2 * delta, 2 * rows] = np.conj(a_hat)
-    lu, piv, info = lapack.zgbtrf(ab, _KL, _KU, overwrite_ab=1)
+    lu, piv, info = _lapack.zgbtrf(ab, _KL, _KU, overwrite_ab=1)
     if info != 0:
         raise NoConvergence(f"band factor of {param.label()} on [{lo}, {hi}]: zgbtrf info={info}")
     return _Factor(lu, piv, wu, win_out, w_in, w_out)
@@ -191,7 +191,7 @@ def _lstsq_rows(
     # rows of b are right-hand sides, so b.T is the column-major (N, batch) zgbtrs wants
     b = np.zeros((rhs.shape[0], fac.lu.shape[1]), dtype=np.complex128)
     b[:, 2 * o : 2 * (o + len(win_rhs)) : 2] = f_hat
-    x, _ = lapack.zgbtrs(fac.lu, _KL, _KU, b.T, fac.piv, overwrite_b=1)
+    x, _ = _lapack.zgbtrs(fac.lu, _KL, _KU, b.T, fac.piv, overwrite_b=1)
     off = win_in.lo - fac.win_out.lo
     sol = x.T[:, 2 * off + 1 :: 2] / fac.w_in
     # residual Â x̂ - f̂ = w_out U g - f̂ from the band, one column ahead so

@@ -1,11 +1,14 @@
 """Coboundary solvers: round trips, obstructions, splitting, schedules."""
 
+import contextlib
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import paracoh as pc
+from paracoh import _lapack, solver
 from paracoh import (
     MultiParam,
     NoConvergence,
@@ -28,7 +31,12 @@ from paracoh.generate import (
 )
 from paracoh.params import IndexWindow, expand_window
 from paracoh.repn import basis_norm_sq_array, u_matrix
+from paracoh.cli import main
+from paracoh.config import ComponentConfig, ExperimentConfig, config_to_json
 from paracoh.solver import (
+    _KL,
+    _KU,
+    _band_factor,
     _lstsq_rows,
     least_squares_probe,
     obstruction_certificate,
@@ -654,3 +662,118 @@ def test_band_factor_weight_underflow_is_typed():
     f = TensorCoeffs(MultiParam((p,)), (win,), coeffs)  # D+(f) = 0
     with pytest.raises(NoConvergence, match="finite positive weights"):
         solve_top(f)
+
+
+# --- the two band LAPACK backends ---------------------------------------------
+
+
+@contextlib.contextmanager
+def _scipy_backend():
+    """The solver's band routines bound to scipy.linalg.lapack, as where numpy
+    exports none; the factor cache is cold on entry and on exit, because its
+    pivots belong to one backend."""
+    from scipy.linalg import lapack
+
+    _band_factor.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_lapack, "zgbtrf", lapack.zgbtrf)
+            mp.setattr(_lapack, "zgbtrs", lapack.zgbtrs)
+            yield
+    finally:
+        _band_factor.cache_clear()
+
+
+_needs_numpy_backend = pytest.mark.skipif(
+    not hasattr(_lapack, "_zgbtrf"),
+    reason="numpy exports no ILP64 zgbtrf/zgbtrs; only the scipy backend is bound",
+)
+
+
+@_needs_numpy_backend
+@pytest.mark.parametrize("n", [80, 401, 2201])
+def test_band_backends_agree_bitwise(n, rng):
+    from scipy.linalg import lapack
+
+    band = (_KL + _KU + 1, n)
+    ab = np.zeros((2 * _KL + _KU + 1, n), dtype=np.complex128, order="F")
+    ab[_KL:] = rng.standard_normal(band) + 1j * rng.standard_normal(band)
+    b = rng.standard_normal((300, n)) + 1j * rng.standard_normal((300, n))
+    lu, piv, info = _lapack.zgbtrf(ab.copy(order="F"), _KL, _KU, overwrite_ab=1)
+    lu_sp, piv_sp, info_sp = lapack.zgbtrf(ab.copy(order="F"), _KL, _KU, overwrite_ab=1)
+    assert info == info_sp == 0
+    assert np.array_equal(lu, lu_sp) and np.array_equal(piv, piv_sp + 1)
+    x, info = _lapack.zgbtrs(lu, _KL, _KU, b.T, piv)
+    x_sp, info_sp = lapack.zgbtrs(lu_sp, _KL, _KU, b.T, piv_sp)
+    assert info == info_sp == 0 and np.array_equal(x, x_sp)
+    # overwrite_b on the column-major b.T works in place, as _lstsq_rows asks
+    bt = b.copy().T
+    x_in_place, _ = _lapack.zgbtrs(lu, _KL, _KU, bt, piv, overwrite_b=1)
+    assert np.shares_memory(x_in_place, bt) and np.array_equal(x_in_place, x)
+
+
+@_needs_numpy_backend
+@pytest.mark.parametrize(
+    "p", [SeriesParam.discrete(1), SeriesParam.complementary(0.5), SeriesParam.principal(1.0)],
+    ids=lambda p: p.label(),
+)
+@pytest.mark.parametrize("k", [64, 1024])
+def test_band_factor_backends_agree_bitwise(p, k, rng):
+    win = default_window(p, k)
+    rhs = rng.standard_normal((200, len(win))) + 1j * rng.standard_normal((200, len(win)))
+    _band_factor.cache_clear()
+    fac = _band_factor(p, win.lo, win.hi)
+    sol, res = _lstsq_rows(p, win, rhs, win)
+    with _scipy_backend():
+        fac_sp = _band_factor(p, win.lo, win.hi)
+        sol_sp, res_sp = _lstsq_rows(p, win, rhs, win)
+    assert np.array_equal(fac.lu, fac_sp.lu) and np.array_equal(fac.piv, fac_sp.piv + 1)
+    assert np.array_equal(sol, sol_sp) and np.array_equal(res, res_sp)
+
+
+def test_singular_band_raises_naming_info_on_each_backend(monkeypatch):
+    # column 5 of the weighted generator is zero, so is its column of the
+    # band, and zgbtrf meets a zero pivot there
+    p = SeriesParam.principal(1.0)
+    win = default_window(p, 16)
+    stencil = solver.apply_u_axis_array
+
+    def zero_column(arr, axis, param, win_in):
+        out, win_out = stencil(arr, axis, param, win_in)
+        j, off = 5, win_in.lo - win_out.lo
+        out[j % 3, j + off - 1 : j + off + 2] = 0.0
+        return out, win_out
+
+    monkeypatch.setattr(solver, "apply_u_axis_array", zero_column)
+    _band_factor.cache_clear()
+    messages = []
+    for backend in (contextlib.nullcontext, _scipy_backend):
+        with backend(), pytest.raises(NoConvergence, match=r"zgbtrf info=[1-9]") as exc:
+            _band_factor(p, win.lo, win.hi)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+def _solve_top_report(tmp_path, name, comps, k):
+    cfg = ExperimentConfig(
+        components=tuple(ComponentConfig(f"c{i}", f) for i, f in enumerate(comps)), k_per_axis=k
+    )
+    path = tmp_path / f"{name}.config.json"
+    path.write_text(json.dumps(config_to_json(cfg)))
+    out = tmp_path / name
+    assert main(["solve-top", "--config", str(path), "--out", str(out)]) == 0
+    return (out / "solve-top.json").read_bytes()
+
+
+# the deg1_wide and top_d4 benchmark workloads' components
+_D1 = [(SeriesParam.principal(1.0),), (SeriesParam.complementary(0.9),), (SeriesParam.discrete(1),)]
+_D4_TAIL = (SeriesParam.complementary(0.9), SeriesParam.discrete(1), SeriesParam.principal(3.0))
+_D4 = [(SeriesParam.principal(s),) + _D4_TAIL for s in (1.0, 1.5, 2.0, 2.5)]
+
+
+@pytest.mark.parametrize("comps, k", [(_D1, 1024), (_D4, 8)], ids=["d1-K1024", "d4-K8"])
+def test_scipy_fallback_writes_the_same_report(tmp_path, comps, k):
+    default = _solve_top_report(tmp_path, "default", comps, k)
+    with _scipy_backend():
+        fallback = _solve_top_report(tmp_path, "fallback", comps, k)
+    assert fallback == default
