@@ -2,25 +2,28 @@
 
 One document per object.  Tensors:
 
-    {"format_version": 2,
+    {"format_version": 3,
      "factors": [{"kind": "principal", "nu_im": 2.0} |
                  {"kind": "complementary", "nu": 0.5} |
                  {"kind": "discrete", "n": 1}, ...],
      "windows": [{"lo": -64, "hi": 64}, ...],
-     "coeffs": {"index": [5, ...], "re": [...], "im": [...]}}
+     "coeffs": {"index": "<base64>", "re": "<base64>", "im": "<base64>"}}
 
-Coefficients are sparse and columnar: "index" holds the C-order flat offset
-of each nonzero entry in the box of the windows, strictly increasing, so
-the layout is canonical and round-trips bit-exactly.  Forms add "degree"
-and per-component documents under "components", with 1-based "axes".
-Loads validate kinds, windows (against each factor's index set), the
-coefficient lists as whole lists, finiteness, and the format version; there
-is no reader for any other version.  Tensor and form files are written
-compact, by json's C encoder; reports keep indent=1.
+Coefficients are sparse and columnar.  Each payload is standard, padded
+base64 of the raw little-endian bytes of one array: "index" is <i8 and
+holds the C-order flat offset of each nonzero entry in the box of the
+windows, strictly increasing, and "re" and "im" are <f8.  The layout is
+canonical and round-trips bit-exactly.  Forms add "degree" and per-component
+documents under "components", with 1-based "axes".  Loads validate kinds,
+windows (against each factor's index set), the payloads as whole arrays,
+finiteness, and the format version; there is no reader for any other
+version.  Tensor and form files are written compact, by json's C encoder;
+reports keep indent=1.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import os
@@ -33,7 +36,7 @@ from .forms import LeafwiseForm
 from .params import IndexWindow, Kind, MultiParam, SeriesParam, check_window
 from .tensor import TensorCoeffs
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def json_int(value: Any) -> int:
@@ -101,38 +104,48 @@ def window_from_json(obj: Any) -> IndexWindow:
         raise SchemaError(f"bad window entry {obj!r}: {exc}") from exc
 
 
+_PAYLOADS = (("index", "<i8"), ("re", "<f8"), ("im", "<f8"))
+
+
 def _coeffs_to_json(arr: np.ndarray) -> dict:
     index = np.flatnonzero(arr)  # C-order offsets, increasing
     vals = arr.reshape(-1)[index]
-    return {"index": index.tolist(), "re": vals.real.tolist(), "im": vals.imag.tolist()}
+    columns = (index, vals.real, vals.imag)
+    return {key: base64.b64encode(np.asarray(col, dtype).tobytes()).decode("ascii")
+            for (key, dtype), col in zip(_PAYLOADS, columns)}
+
+
+def _payload(text: Any, key: str, dtype: str) -> np.ndarray:
+    """One column from padded base64 of whole 8-byte little-endian items."""
+    if not isinstance(text, str):
+        raise SchemaError(f"coeffs {key} must be a base64 string, got {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise SchemaError(f"coeffs {key} is not base64: {exc}") from exc
+    if len(raw) % 8 or len(text) != 4 * -(-len(raw) // 3):
+        raise SchemaError(f"coeffs {key} must be padded base64 of whole 8-byte items")
+    return np.frombuffer(raw, dtype)
 
 
 def _coeffs_from_json(obj: Any, windows: tuple[IndexWindow, ...]) -> np.ndarray:
-    """Dense coefficients from the columnar lists, validated as whole lists."""
+    """Dense coefficients from the columnar payloads, validated as whole arrays."""
     if not isinstance(obj, dict) or set(obj) != {"index", "re", "im"}:
         raise SchemaError("coeffs must be an object with exactly the keys index, re, im")
-    index, re, im = obj["index"], obj["re"], obj["im"]
-    lists = all(isinstance(c, list) for c in (index, re, im))
-    if not lists or not len(index) == len(re) == len(im):
-        raise SchemaError("coeffs index, re and im must be lists of equal length")
-    # type(), not isinstance: bools, and floats among the indices, are rejected
-    if not set(map(type, index)) <= {int}:
-        raise SchemaError("coefficient indices must be integers")
-    if not (set(map(type, re)) | set(map(type, im))) <= {int, float}:
-        raise SchemaError("coefficient values must be numbers")
-    arr = np.zeros(tuple(map(len, windows)), dtype=np.complex128)
-    try:
-        pos = np.array(index, dtype=np.int64)
-        vals = np.empty(len(pos), dtype=np.complex128)
-        vals.real = re
-        vals.imag = im
-    except OverflowError as exc:
-        raise SchemaError(f"number out of range: {exc}") from exc
-    if not np.all(np.isfinite(vals)):
+    pos, re, im = (_payload(obj[key], key, dtype) for key, dtype in _PAYLOADS)
+    if not len(pos) == len(re) == len(im):
+        raise SchemaError("coeffs index, re and im must hold equally many items")
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
         raise SchemaError("non-finite coefficient value")
+    shape = tuple(w.hi - w.lo + 1 for w in windows)  # len() overflows past sys.maxsize
+    try:
+        arr = np.zeros(shape, dtype=np.complex128)
+    except (MemoryError, OverflowError, ValueError) as exc:
+        raise SchemaError(f"window box {shape} cannot be allocated: {exc}") from exc
     if len(pos) and not (0 <= pos[0] and pos[-1] < arr.size and np.all(pos[1:] > pos[:-1])):
         raise SchemaError(f"coefficient indices must increase strictly within [0, {arr.size})")
-    arr.reshape(-1)[pos] = vals
+    flat = arr.reshape(-1)
+    flat.real[pos], flat.imag[pos] = re, im
     return arr
 
 

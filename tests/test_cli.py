@@ -232,6 +232,10 @@ def _solve_argv(tmp_path, cfg, kind, docs):
 NO_FACTORS = {"factors": [], "windows": []}
 # c1 is principal(2) x discrete(1): its second window starts below the lowest weight
 LOW_WINDOW = {"windows": [{"lo": -8, "hi": 8}, {"lo": 0, "hi": 8}]}
+# window boxes no allocator can give: 5.68 PiB, and an axis longer than an index-sized integer;
+# both fail before any memory is touched
+HUGE_BOX = {"windows": [{"lo": -(10**7), "hi": 10**7}, {"lo": 1, "hi": 2 * 10**7 + 1}]}
+FAR_BOUND = {"windows": [{"lo": -(10**30), "hi": 8}, {"lo": 1, "hi": 8}]}
 
 
 @pytest.mark.parametrize(
@@ -239,11 +243,13 @@ LOW_WINDOW = {"windows": [{"lo": -8, "hi": 8}, {"lo": 0, "hi": 8}]}
     [("tensor", {"factors": 5}), ("tensor", NO_FACTORS), ("tensor", {"windows": {"lo": 0}}),
      ("form", {"factors": 5}), ("form", NO_FACTORS), ("form", {"components": 5}),
      ("form", {"components": {"axes": [1]}}), ("tensor", LOW_WINDOW), ("form", LOW_WINDOW),
-     ("tensor", {"format_version": 1}), ("form", {"format_version": 1})],
+     ("tensor", {"format_version": 1}), ("form", {"format_version": 1}),
+     ("tensor", HUGE_BOX), ("form", HUGE_BOX), ("tensor", FAR_BOUND), ("form", FAR_BOUND)],
     ids=["tensor-factors-int", "tensor-no-factors", "tensor-windows-object", "form-factors-int",
          "form-no-factors", "form-components-int", "form-components-object",
          "tensor-window-below-lowest-weight", "form-window-below-lowest-weight",
-         "tensor-format-1", "form-format-1"],
+         "tensor-format-1", "form-format-1", "tensor-box-too-large", "form-box-too-large",
+         "tensor-bound-past-index-range", "form-bound-past-index-range"],
 )
 def test_malformed_input_documents_are_schema_errors(tmp_path, capsys, kind, bad):
     cfg = _small_config(k=8)
@@ -255,6 +261,17 @@ def test_malformed_input_documents_are_schema_errors(tmp_path, capsys, kind, bad
     assert main(_solve_argv(tmp_path, cfg, kind, docs)) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["tensor", "form"])
+def test_format_2_inputs_are_schema_errors_naming_the_version(tmp_path, capsys, kind):
+    cfg = _small_config(k=8)
+    docs = _gen_docs(tmp_path, cfg, kind, None if kind == "tensor" else 1)
+    docs[0]["format_version"] = 2
+    assert main(_solve_argv(tmp_path, cfg, kind, docs)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: format_version 2 not supported (want 3)" in err
+    assert "Traceback" not in err
 
 
 def test_documents_without_coeffs_are_schema_errors(tmp_path, capsys):

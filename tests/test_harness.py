@@ -1,10 +1,12 @@
 """Experiment commands: suites pass, reports are deterministic, gates gate."""
 
+import base64
 import importlib.util
 import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from paracoh import AssumptionGateError, ConfigError, SeriesParam
@@ -259,3 +261,29 @@ def test_report_diff_lists_moved_fields(tmp_path, capsys):
     (b / "extra.json").unlink()
     assert tool.main([str(tmp_path / "a"), str(tmp_path / "a")]) == 0
     assert capsys.readouterr().out == "2 files compared, 0 differ, 0 leaves differ, 0 missing\n"
+    # gen documents: one line per component with a moved coefficient, matched by basis index
+    def coeffs(index, values):
+        vals = np.asarray(values, dtype=complex)
+        return {key: base64.b64encode(np.asarray(col, dtype).tobytes()).decode("ascii")
+                for key, dtype, col in (("index", "<i8", index), ("re", "<f8", vals.real),
+                                        ("im", "<f8", vals.imag))}
+
+    form = {"format_version": 3, "degree": 1, "windows": [{"lo": -2, "hi": 2}, {"lo": 1, "hi": 3}],
+            "components": [{"axes": [1], "coeffs": coeffs([0, 7], [1, 2j])},
+                           {"axes": [2], "coeffs": coeffs([4], [3])}]}
+    (a / "f.form.json").write_text(json.dumps(form))
+    form["components"][1]["coeffs"] = coeffs([4], [3.3])
+    (b / "f.form.json").write_text(json.dumps(form))
+    # k = -1 is offset 1 in [-2, 2] and offset 0 in [-1, 2]
+    tensor = {"format_version": 3, "windows": [{"lo": -2, "hi": 2}], "coeffs": coeffs([1], [1.5])}
+    (a / "t.tensor.json").write_text(json.dumps(tensor))
+    tensor.update(windows=[{"lo": -1, "hi": 2}], coeffs=coeffs([0], [1.5]))
+    (b / "t.tensor.json").write_text(json.dumps(tensor))
+    assert tool.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "seed0/f.form.json  components[1].coeffs  1 -> 1 coefficients  max rel 0.0909",
+        "seed0/r.json  metadata.max_residual_rel  2.0 -> 2.5  rel 0.2",
+        "seed0/r.json  components[1]  '<absent>' -> {'k': 2}",
+        "seed0/t.tensor.json  windows[0].lo  -2 -> -1  rel 0.5",
+        "4 files compared, 3 differ, 4 leaves differ, 0 missing",
+    ]

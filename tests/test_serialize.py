@@ -1,5 +1,6 @@
 """File schemas: bit-exact round trips and validation failures."""
 
+import base64
 import json
 import math
 import os
@@ -35,11 +36,33 @@ from paracoh.serialize import (
     tensor_from_json,
     tensor_to_json,
 )
+from paracoh.tensor import TensorCoeffs
 from tests.test_harness import _small_config
 
 
 def _mp():
     return MultiParam((SeriesParam.principal(2.0), SeriesParam.discrete(1)))
+
+
+def _b64(values, dtype="<f8"):
+    return base64.b64encode(np.asarray(values, dtype).tobytes()).decode("ascii")
+
+
+def _coeffs(index, re, im):
+    """A format-3 coeffs object from plain lists."""
+    return {"index": _b64(index, "<i8"), "re": _b64(re), "im": _b64(im)}
+
+
+def _columns(coeffs):
+    """The decoded index, re and im arrays of a format-3 coeffs object."""
+    return [np.frombuffer(base64.b64decode(coeffs[key], validate=True), dtype)
+            for key, dtype in (("index", "<i8"), ("re", "<f8"), ("im", "<f8"))]
+
+
+# bit patterns of a quiet NaN, a negative NaN with a payload, a signalling NaN, +Inf and -Inf
+NON_FINITE_BITS = np.array(
+    [0x7FF8000000000000, 0xFFF8000000000001, 0x7FF0000000000001,
+     0x7FF0000000000000, 0xFFF0000000000000], dtype="<u8").view("<f8")
 
 
 def test_tensor_round_trip_bitwise(tmp_path, rng):
@@ -54,12 +77,16 @@ def test_tensor_round_trip_bitwise(tmp_path, rng):
     assert np.array_equal(g.coeffs, f.coeffs)  # bitwise
     # document shape matches the published schema
     doc = json.loads(path.read_text())
-    assert doc["format_version"] == 2
+    assert doc["format_version"] == 3
     assert doc["factors"][0] == {"kind": "principal", "nu_im": 2.0}
     assert doc["factors"][1] == {"kind": "discrete", "n": 1}
-    assert set(doc["coeffs"]) == {"index", "re", "im"}
-    # C-order flat offsets into the window box, strictly increasing
-    assert doc["coeffs"]["index"] == np.flatnonzero(f.coeffs).tolist()
+    assert list(doc["coeffs"]) == ["index", "re", "im"]
+    assert all(isinstance(v, str) and "\n" not in v for v in doc["coeffs"].values())
+    # C-order flat offsets into the window box, strictly increasing, as <i8; values as <f8
+    index, re, im = _columns(doc["coeffs"])
+    assert index.tolist() == np.flatnonzero(f.coeffs).tolist()
+    vals = f.coeffs.reshape(-1)[index]
+    assert re.tobytes() == vals.real.tobytes() and im.tobytes() == vals.imag.tobytes()
 
 
 def test_vector_round_trip(rng):
@@ -91,7 +118,7 @@ def test_version_mismatch_rejected(rng):
     mp = _mp()
     wins = tuple(default_window(p, 4) for p in mp.factors)
     doc = tensor_to_json(random_tensor(mp, wins, rng))
-    for bad in (1, 3, "2", True):
+    for bad in (1, 2, 4, "3", True):
         with pytest.raises(SchemaError, match=f"format_version {bad!r} not supported"):
             tensor_from_json({**doc, "format_version": bad})
     doc.pop("format_version")
@@ -104,11 +131,11 @@ def test_nan_rejected(rng):
     wins = tuple(default_window(p, 4) for p in mp.factors)
     doc = tensor_to_json(random_tensor(mp, wins, rng))
     for part in ("re", "im"):
-        for bad in (math.nan, math.inf, -math.inf):
-            bad_doc = json.loads(json.dumps(doc))
-            bad_doc["coeffs"][part][0] = bad
+        for bad in (math.nan, math.inf, -math.inf, *NON_FINITE_BITS):
+            index, re, im = (c.copy() for c in _columns(doc["coeffs"]))
+            {"re": re, "im": im}[part][0] = bad
             with pytest.raises(SchemaError, match="non-finite"):
-                tensor_from_json(bad_doc)
+                tensor_from_json({**doc, "coeffs": _coeffs(index, re, im)})
 
 
 def test_schema_violations(rng):
@@ -116,11 +143,12 @@ def test_schema_violations(rng):
     wins = tuple(default_window(p, 4) for p in mp.factors)
     base = tensor_to_json(random_tensor(mp, wins, rng, margin=0))
     size = len(wins[0]) * len(wins[1])
-    # outside the box, a duplicate, and out of order: each breaks the one rule
-    for index in ([-1], [size], [3, 3], [4, 3]):
+    # outside the box, a duplicate, out of order, and offsets past int64's sign bit:
+    # each breaks the one rule
+    for index in ([-1], [size], [3, 3], [4, 3], [0, -(2**63)], [2**62]):
         doc = json.loads(json.dumps(base))
         n = len(index)
-        doc["coeffs"] = {"index": index, "re": [1.0] * n, "im": [0.0] * n}
+        doc["coeffs"] = _coeffs(index, [1.0] * n, [0.0] * n)
         with pytest.raises(SchemaError, match="increase strictly"):
             tensor_from_json(doc)
     doc = json.loads(json.dumps(base))
@@ -199,11 +227,15 @@ def test_schema_ints_not_coerced(rng):
         doc[section][idx][key] = bad
         with pytest.raises(SchemaError):
             tensor_from_json(doc)
-    # coefficient indices and values: one entry, so no ordering rule masks the check
-    one = {"index": [4 * len(wins[1])], "re": [1.0], "im": [0]}
+    # coefficient payloads: one entry, so no ordering rule masks the check
+    offset = 4 * len(wins[1])
+    one = _coeffs([offset], [1.0], [0.0])
     assert tensor_from_json({**base, "coeffs": one}).coeffs[4, 0] == 1.0
-    bads = [{"index": [bad]} for bad in (4.0 * len(wins[1]), 0.7, True, "0")]
-    bads += [{"re": [True]}, {"re": ["1.0"]}, {"im": [False]}, {"im": ["2.5"]}, {"re": [None]}]
+    # an offset written as <f8 bytes is not read as its value
+    bads = [{"index": _b64([float(offset)])}]
+    # payloads that are not strings, including format-2 lists
+    for key in ("index", "re", "im"):
+        bads += [{key: bad} for bad in ([offset], [1.0], offset, 1.0, True, None, {"0": 1.0})]
     for bad in bads:
         with pytest.raises(SchemaError):
             tensor_from_json({**base, "coeffs": {**one, **bad}})
@@ -220,27 +252,42 @@ def test_coeffs_lists_must_match_the_schema(rng):
     mp = _mp()
     wins = tuple(default_window(p, 4) for p in mp.factors)
     base = tensor_to_json(random_tensor(mp, wins, rng, margin=0))
-    one = {"index": [0, 5], "re": [1.0, 2.0], "im": [0.0, -1.0]}
+    one = _coeffs([0, 5], [1.0, 2.0], [0.0, -1.0])
     got = tensor_from_json({**base, "coeffs": one}).coeffs
     assert got[0, 0] == 1.0 and got[divmod(5, len(wins[1]))] == 2 - 1j
     bads = [
-        {**one, "re": [1.0]},  # unequal lengths
-        {**one, "im": [0.0, 1.0, 2.0]},
-        {"index": [0, 5], "re": [1.0, 2.0]},  # missing key
-        {**one, "k": [[0, 0], [0, 5]]},  # extra key
-        {**one, "index": 5},  # not lists
+        {**one, "re": _b64([1.0])},  # unequal counts
+        {**one, "im": _b64([0.0, 1.0, 2.0])},
+        {**one, "index": _b64([0], "<i8")},
+        {"index": one["index"], "re": one["re"]},  # missing key
+        {**one, "k": one["index"]},  # extra key
+        {**one, "index": 5},  # not strings
         {**one, "re": {"0": 1.0}},
+        {"index": [0, 5], "re": [1.0, 2.0], "im": [0.0, -1.0]},  # a format-2 object
         [{"k": [0, 0], "re": 1.0, "im": 0.0}],  # a format-1 entry list
         None,
     ]
     for bad in bads:
         with pytest.raises(SchemaError):
             tensor_from_json({**base, "coeffs": bad})
-    # numbers out of range: an index past int64, a value past float
-    for bad in ({"index": [0, 2**64]}, {"re": [1.0, 10**400]}, {"im": [-(10**400), 0]}):
-        with pytest.raises(SchemaError, match="out of range"):
-            tensor_from_json({**base, "coeffs": {**one, **bad}})
-    empty = tensor_from_json({**base, "coeffs": {"index": [], "re": [], "im": []}})
+    # not base64: a character outside the alphabet, a newline, a non-ASCII
+    # character, padding missing, misplaced or in excess, a lone trailing character
+    text = one["re"]
+    for bad in ("*" + text[1:], text[:8] + "\n" + text[8:], "\u00e9" + text[1:],
+                text.rstrip("="), "=" + text[:-1], text[:-4] + "=" + text[-4:], text + "==",
+                text + "A"):
+        with pytest.raises(SchemaError, match="coeffs re"):
+            tensor_from_json({**base, "coeffs": {**one, "re": bad}})
+    # whole 3-byte groups need no padding, so "==" after them is in excess
+    three = _coeffs([0, 5, 6], [1.0, 2.0, 3.0], [0.0] * 3)
+    with pytest.raises(SchemaError, match="coeffs re"):
+        tensor_from_json({**base, "coeffs": {**three, "re": three["re"] + "=="}})
+    # valid base64 of a byte count that is not a multiple of 8
+    for nbytes in (1, 7, 9, 15):
+        payload = base64.b64encode(bytes(nbytes)).decode("ascii")
+        with pytest.raises(SchemaError, match="8-byte items"):
+            tensor_from_json({**base, "coeffs": {**one, "im": payload}})
+    empty = tensor_from_json({**base, "coeffs": {"index": "", "re": "", "im": ""}})
     assert not empty.coeffs.any()
 
 
@@ -249,21 +296,58 @@ def test_form_components_use_the_columnar_coeffs(rng):
     wins = tuple(default_window(p, 4) for p in mp.factors)
     w = random_closed_form(mp, wins, 1, rng)[0]
     doc = form_to_json(w)
-    assert doc["format_version"] == 2
-    assert [set(c["coeffs"]) for c in doc["components"]] == [{"index", "re", "im"}] * 2
+    assert doc["format_version"] == 3
+    assert [list(c["coeffs"]) for c in doc["components"]] == [["index", "re", "im"]] * 2
     for bad in (
-        {"index": [0], "re": [math.nan], "im": [0.0]},
-        {"index": [w.components[(0,)].size], "re": [1.0], "im": [0.0]},
-        {"index": [2, 1], "re": [1.0, 1.0], "im": [0.0, 0.0]},
-        {"index": [0], "re": [1.0], "im": [0.0, 0.0]},
+        _coeffs([0], [math.nan], [0.0]),
+        _coeffs([w.components[(0,)].size], [1.0], [0.0]),
+        _coeffs([2, 1], [1.0, 1.0], [0.0, 0.0]),
+        _coeffs([0], [1.0], [0.0, 0.0]),
+        {**_coeffs([0], [1.0], [0.0]), "re": "AAAA"},
+        {"index": [0], "re": [1.0], "im": [0.0]},
         [{"k": [0, 0], "re": 1.0, "im": 0.0}],
     ):
         bad_doc = json.loads(json.dumps(doc))
         bad_doc["components"][1]["coeffs"] = bad
         with pytest.raises(SchemaError):
             form_from_json(bad_doc)
-    with pytest.raises(SchemaError, match="format_version 1"):
-        form_from_json({**doc, "format_version": 1})
+    for old in (1, 2):
+        with pytest.raises(SchemaError, match=f"format_version {old}"):
+            form_from_json({**doc, "format_version": old})
+
+
+def test_window_box_that_cannot_be_allocated_names_its_shape(rng):
+    # 5.68 PiB, and an axis past an index-sized integer: both fail before touching memory
+    mp = _mp()
+    doc = tensor_to_json(random_tensor(mp, tuple(default_window(p, 4) for p in mp.factors), rng))
+    for lo, shape in ((-(10**7), (20000001, 20000001)),
+                      (-(10**30), (10**30 + 10**7 + 1, 20000001))):
+        windows = [{"lo": lo, "hi": 10**7}, {"lo": 1, "hi": 20000001}]
+        with pytest.raises(SchemaError) as exc:
+            tensor_from_json({**doc, "windows": windows})
+        assert f"window box {shape} cannot be allocated" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[], [5e-324, -2.2250738585072009e-308], [1e308, -1e308], [1.0]],
+    ids=["all-zero", "subnormal", "1e308", "one-entry-box"],
+)
+def test_extreme_payloads_round_trip_bitwise(values):
+    mp = _mp()
+    if len(values) == 1:  # a box of one entry
+        wins = (IndexWindow(0, 0), IndexWindow(1, 1))
+    else:
+        wins = tuple(default_window(p, 4) for p in mp.factors)
+    arr = np.zeros(tuple(map(len, wins)), dtype=np.complex128)
+    flat = arr.reshape(-1)
+    flat.real[: len(values)] = values
+    flat.imag[flat.size - len(values):] = values[::-1]  # the same entries when the box is one
+    doc = tensor_to_json(TensorCoeffs(mp, wins, arr))
+    if not values:
+        assert doc["coeffs"] == {"index": "", "re": "", "im": ""}
+    back = tensor_from_json(json.loads(json.dumps(doc)))
+    assert back.coeffs.tobytes() == arr.tobytes()
 
 
 def test_window_below_lowest_weight_is_a_schema_error(rng):

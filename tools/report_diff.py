@@ -11,6 +11,14 @@ Each differing leaf prints on one line, with the relative change
 
     seed0/solve-top-d2/solve-top.json  components[1].residual_rel  3.1e-16 -> 3.2e-16  rel 0.031
 
+The base64 `coeffs` payloads of a tensor or form document (`gen` output) are
+decoded and compared as one leaf per tensor or form component, keyed by the
+basis index k of each entry, so shifted windows still line up.  The line
+gives the entry counts and the largest relative change over the union of
+entries, an entry missing on one side counting as 0:
+
+    seed0/gen-tensor-d2/component-0.tensor.json  coeffs  4225 -> 4225 coefficients  max rel 2.2e-16
+
 A file present on one side only prints as `missing in A` or `missing in B`
 and makes the exit status 1; otherwise it is 0, whether or not values
 differ.  A last line counts the files compared, the files that differ and
@@ -20,13 +28,49 @@ the differing leaves.
 from __future__ import annotations
 
 import argparse
+import base64
 import csv
 import json
 import math
 import os
 import sys
+from dataclasses import dataclass
+
+import numpy as np
 
 _ABSENT = "<absent>"
+_PAYLOADS = (("index", "<i8"), ("re", "<f8"), ("im", "<f8"))
+
+
+@dataclass(repr=False)
+class _Coeffs:
+    """Decoded coefficients of one component: basis index tuple -> complex value."""
+
+    values: dict
+
+    def __repr__(self) -> str:
+        return f"<{len(self.values)} coefficients>"
+
+
+def _decode(coeffs: dict, windows: list) -> _Coeffs:
+    index, re, im = (np.frombuffer(base64.b64decode(coeffs[key], validate=True), dtype)
+                     for key, dtype in _PAYLOADS)
+    shape = tuple(w["hi"] - w["lo"] + 1 for w in windows)
+    ks = np.stack(np.unravel_index(index, shape), axis=-1) + [w["lo"] for w in windows]
+    return _Coeffs(dict(zip(map(tuple, ks.tolist()), (re + 1j * im).tolist())))
+
+
+def _decode_payloads(doc):
+    """A tensor or form document with each coeffs object decoded to _Coeffs."""
+    if not isinstance(doc, dict) or "windows" not in doc:
+        return doc
+    comps = doc.get("components")
+    for holder in [doc, *(comps if isinstance(comps, list) else [])]:
+        try:
+            holder["coeffs"] = _decode(holder["coeffs"], doc["windows"])
+        except (KeyError, TypeError, ValueError):  # not a format-3 coeffs object: compare as JSON
+            pass
+    return doc
 
 
 def _files(root: str) -> set[str]:
@@ -39,7 +83,7 @@ def _files(root: str) -> set[str]:
 def _load(path: str):
     if path.endswith(".json"):
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return _decode_payloads(json.load(fh))
     if path.endswith(".csv"):
         with open(path, newline="", encoding="utf-8") as fh:
             return [[_cell(c) for c in row] for row in csv.reader(fh)]
@@ -80,6 +124,11 @@ def _leaves(a, b, path: str = ""):
 
 
 def _describe(a, b) -> str:
+    if isinstance(a, _Coeffs) and isinstance(b, _Coeffs):
+        va, vb = a.values, b.values
+        pairs = ((va.get(k, 0), vb.get(k, 0)) for k in va.keys() | vb.keys())
+        rel = max(abs(y - x) / (max(abs(x), abs(y)) or 1) for x, y in pairs)
+        return f"{len(va)} -> {len(vb)} coefficients  max rel {rel:.3g}"
     text = f"{a!r} -> {b!r}"
     if _is_number(a) and _is_number(b):
         text += f"  rel {abs(b - a) / max(abs(a), abs(b)):.3g}"
