@@ -15,10 +15,10 @@ holds the C-order flat offset of each nonzero entry in the box of the
 windows, strictly increasing, and "re" and "im" are <f8.  The layout is
 canonical and round-trips bit-exactly.  Forms add "degree" and per-component
 documents under "components", with 1-based "axes".  Loads validate kinds,
-windows (against each factor's index set), the payloads as whole arrays,
-finiteness, and the format version; there is no reader for any other
-version.  Tensor and form files are written compact, by json's C encoder;
-reports keep indent=1.
+windows (against each factor's index set, an allocatable box and
+|k| <= MAX_INDEX), the payloads as whole arrays, finiteness, and the format
+version; there is no reader for any other version.  Tensor and form files
+are written compact, by json's C encoder; reports keep indent=1.
 """
 
 from __future__ import annotations
@@ -37,6 +37,11 @@ from .params import IndexWindow, Kind, MultiParam, SeriesParam, check_window
 from .tensor import TensorCoeffs
 
 FORMAT_VERSION = 3
+# Largest |k| a window may reach.  Basis norms are running products from
+# k = 0 (complementary) or the lowest weight (discrete), so a window far out
+# costs tables of that length however small its box; 2**20 is far above the
+# K <= 2048 the solves are run at.
+MAX_INDEX = 2**20
 
 
 def json_int(value: Any) -> int:
@@ -137,16 +142,20 @@ def _coeffs_from_json(obj: Any, windows: tuple[IndexWindow, ...]) -> np.ndarray:
         raise SchemaError("coeffs index, re and im must hold equally many items")
     if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
         raise SchemaError("non-finite coefficient value")
-    shape = tuple(w.hi - w.lo + 1 for w in windows)  # len() overflows past sys.maxsize
-    try:
-        arr = np.zeros(shape, dtype=np.complex128)
-    except (MemoryError, OverflowError, ValueError) as exc:
-        raise SchemaError(f"window box {shape} cannot be allocated: {exc}") from exc
+    arr = _zero_box(windows)
     if len(pos) and not (0 <= pos[0] and pos[-1] < arr.size and np.all(pos[1:] > pos[:-1])):
         raise SchemaError(f"coefficient indices must increase strictly within [0, {arr.size})")
     flat = arr.reshape(-1)
     flat.real[pos], flat.imag[pos] = re, im
     return arr
+
+
+def _zero_box(windows: tuple[IndexWindow, ...]) -> np.ndarray:
+    shape = tuple(w.hi - w.lo + 1 for w in windows)  # len() overflows past sys.maxsize
+    try:
+        return np.zeros(shape, dtype=np.complex128)
+    except (MemoryError, OverflowError, ValueError) as exc:
+        raise SchemaError(f"window box {shape} cannot be allocated: {exc}") from exc
 
 
 def _list_field(doc: dict, key: str) -> list:
@@ -171,6 +180,13 @@ def _params_windows(
             check_window(p, w)
     except InvalidIndex as exc:
         raise SchemaError(str(exc)) from exc
+    _zero_box(windows)  # a box no allocator can give is named as such first
+    for p, w in zip(factors, windows):
+        if max(-w.lo, w.hi) > MAX_INDEX:
+            raise SchemaError(
+                f"window [{w.lo}, {w.hi}] of {p.label()} reaches past |k| = {MAX_INDEX}, "
+                "the largest index a window may hold"
+            )
     return MultiParam(factors, eps0=eps0, nu0=nu0), windows
 
 

@@ -32,6 +32,13 @@ tol_residual * scale raises NoConvergence.  `verify_solution` sums the
 residual on one hull, f's windows widened by one on each axis.  Every norm
 goes through `repn.sobolev_norm_array`: the verification norms f once for
 ||f||_0 and every sigma_d(t), and each g_i once for every t.
+
+Memory: a top-degree solve holds f, its d outputs and one level's workspace
+at a time.  `_lstsq_rows` allocates only the zgbtrs right-hand sides and the
+solutions, and forms the residual in the former's buffer; a level drops
+f_otimes, the amplitudes and their batch once its rows exist, and makes its
+product buffer only after the sub-recursion returns; `verify_solution` makes
+each U_i g_i only to add it into the hull.
 """
 
 from __future__ import annotations
@@ -182,27 +189,38 @@ def _lstsq_rows(
 
     rhs has shape (batch, len(win_rhs)); returns (solutions on win_in,
     per-row residual in the ||.||_0 metric over the full output window).
+    Besides the two results it allocates only the zgbtrs right-hand sides b,
+    whose buffer then holds the residual and its product term.
     """
     fac = _band_factor(param, win_in.lo, win_in.hi)
     if not fac.win_out.contains_window(win_rhs):
         raise ValueError("rhs window exceeds the solve's output window")
-    o = win_rhs.lo - fac.win_out.lo
-    f_hat = rhs * fac.w_out[o : o + len(win_rhs)]
-    # rows of b are right-hand sides, so b.T is the column-major (N, batch) zgbtrs wants
-    b = np.zeros((rhs.shape[0], fac.lu.shape[1]), dtype=np.complex128)
-    b[:, 2 * o : 2 * (o + len(win_rhs)) : 2] = f_hat
+    o, r = win_rhs.lo - fac.win_out.lo, len(win_rhs)
+    w_rhs = fac.w_out[o : o + r]
+    batch, width = rhs.shape[0], fac.lu.shape[1]
+    # rows of b are right-hand sides, so b.T is the column-major (N, batch) zgbtrs
+    # wants; f̂ = w_out f goes into the even slots
+    b = np.zeros((batch, width), dtype=np.complex128)
+    np.multiply(rhs, w_rhs, out=b[:, 2 * o : 2 * (o + r) : 2])
     x, _ = _lapack.zgbtrs(fac.lu, _KL, _KU, b.T, fac.piv, overwrite_b=1)
     off = win_in.lo - fac.win_out.lo
     sol = x.T[:, 2 * off + 1 :: 2] / fac.w_in
     # residual Â x̂ - f̂ = w_out U g - f̂ from the band, one column ahead so
-    # that every slice starts at >= 0
-    n = len(win_in)
-    resid = np.zeros((rhs.shape[0], len(fac.win_out) + 1), dtype=np.complex128)
-    term = np.empty_like(sol)
+    # that every slice starts at >= 0, in the buffer sol was read from (a view:
+    # x is column-major); f̂ is formed again in the product term
+    n, m = len(win_in), len(fac.win_out) + 1
+    t = max(n, r)
+    buf = np.ravel(x.T)
+    resid = buf[: batch * m].reshape(batch, m)
+    resid[...] = 0.0
+    if width >= m + t:
+        term = buf[batch * m : batch * (m + t)].reshape(batch, t)
+    else:  # a window clipped at the lowest weight has one output fewer
+        term = np.empty((batch, t), dtype=np.complex128)
     for delta in (-1, 0, 1):
         start = off + delta + 1
-        resid[:, start : start + n] += np.multiply(fac.wu[delta + 1], sol, out=term)
-    resid[:, o + 1 : o + 1 + len(win_rhs)] -= f_hat
+        resid[:, start : start + n] += np.multiply(fac.wu[delta + 1], sol, out=term[:, :n])
+    resid[:, o + 1 : o + 1 + r] -= np.multiply(rhs, w_rhs, out=term[:, :r])
     parts = resid.view(np.float64)  # row norms without a complex temporary
     return sol, np.sqrt(np.einsum("ij,ij->i", parts, parts))
 
@@ -341,14 +359,19 @@ def _solve_top_rec(
         amplitudes, f_ot = _split_last(p_last, w_last, arr)
         signs = valid_signs(p_last)
         stacked = np.concatenate([amplitudes[s] for s in signs])
+        del amplitudes
+        rows = np.subtract(arr, f_ot, out=f_ot)  # in f_otimes' buffer
         lead = params.keep_leading(d - 1)
-        for sols in _solve_top_rec(lead, windows[:-1], stacked, opts, scale):
+        sub = _solve_top_rec(lead, windows[:-1], stacked, opts, scale)
+        del stacked
+        term = np.empty(arr.shape, dtype=np.complex128)
+        for sols in sub:
             # g_i = sum_s G_s,i (x) phi_s
             gi = np.zeros(arr.shape, dtype=np.complex128)
             for s, part in zip(signs, np.split(sols, len(signs))):
-                gi += part[..., None] * phi(p_last, s, w_last)
+                gi += np.multiply(part[..., None], phi(p_last, s, w_last), out=term)
             out.append(gi)
-        rows = arr - f_ot
+        del sub, term
 
     # last-factor problem: the rows of all items
     rows = rows.reshape(-1, len(w_last))
@@ -405,9 +428,11 @@ def verify_solution(
     residual is taken over the whole hull of the windows of f and the U_i g_i
     (f's windows widened by one on each axis, for g_i on f's windows);
     truncated kernel-consistent systems are exactly solvable, so no edge
-    region is excluded.  -f, U_0 g_0, ..., U_{d-1} g_{d-1} are added into
-    one array on the hull in that order, so zero-filling the g_i into larger
-    windows with the same hull leaves the residual bitwise unchanged.
+    region is excluded.  The hull comes from the windows (U_i widens axis i
+    by one), and -f, U_0 g_0, ..., U_{d-1} g_{d-1} are added into one array
+    on it in that order, each U_i g_i made only to be added, so zero-filling
+    the g_i into larger windows with the same hull leaves the residual
+    bitwise unchanged.
     """
     if len(g_list) != f.d:
         raise ValueError(f"expected {f.d} primitives, got {len(g_list)}")
@@ -418,12 +443,16 @@ def verify_solution(
     fn0, *denoms = sobolev_norm_array(f.params.factors, f.windows, f.coeffs, orders).tolist()
     g_norms = [sobolev_norm_array(g.params.factors, g.windows, g.coeffs, tuple(t_list)).tolist()
                for g in g_list]
-    terms = [tensor.apply_U_factor(g, i) for i, g in enumerate(g_list)]
-    wins = tensor.hull(f.windows, *(u.windows for u in terms))
+    u_windows = [g.windows[:i] + (expand_window(p, g.windows[i]),) + g.windows[i + 1 :]
+                 for i, (p, g) in enumerate(zip(f.params.factors, g_list))]
+    wins = tensor.hull(f.windows, *u_windows)
     resid = np.zeros(tuple(len(w) for w in wins), dtype=np.complex128)
-    for op, b in [(np.subtract, f)] + [(np.add, u) for u in terms]:
-        view = resid[tensor.sub_slices(b.windows, wins)]
-        op(view, b.coeffs, out=view)
+    view = resid[tensor.sub_slices(f.windows, wins)]
+    np.subtract(view, f.coeffs, out=view)
+    for i, g in enumerate(g_list):
+        # one U_i g_i at a time, dropped before the next is made
+        view = resid[tensor.sub_slices(u_windows[i], wins)]
+        np.add(view, tensor.apply_U_factor(g, i).coeffs, out=view)
     residual = sobolev_norm_array(f.params.factors, wins, resid, 0.0)
     kernel_defect = max(tensor.kernel_defects(f).values(), default=0.0)
     ratios = {t: max(nums) / denom if denom > 0 else 0.0

@@ -238,18 +238,29 @@ HUGE_BOX = {"windows": [{"lo": -(10**7), "hi": 10**7}, {"lo": 1, "hi": 2 * 10**7
 FAR_BOUND = {"windows": [{"lo": -(10**30), "hi": 8}, {"lo": 1, "hi": 8}]}
 
 
+def _shifted(shift):
+    """c1's discrete window moved out by `shift`: a small box whose basis norms
+    would need a table `shift` long."""
+    return {"windows": [{"lo": -8, "hi": 8}, {"lo": 1 + shift, "hi": 9 + shift}]}
+
+
+SHIFTS = {"1e9": 10**9, "1e15": 10**15, "2p62": 2**62, "1e30": 10**30}
+
+
 @pytest.mark.parametrize(
     "kind, bad",
     [("tensor", {"factors": 5}), ("tensor", NO_FACTORS), ("tensor", {"windows": {"lo": 0}}),
      ("form", {"factors": 5}), ("form", NO_FACTORS), ("form", {"components": 5}),
      ("form", {"components": {"axes": [1]}}), ("tensor", LOW_WINDOW), ("form", LOW_WINDOW),
      ("tensor", {"format_version": 1}), ("form", {"format_version": 1}),
-     ("tensor", HUGE_BOX), ("form", HUGE_BOX), ("tensor", FAR_BOUND), ("form", FAR_BOUND)],
+     ("tensor", HUGE_BOX), ("form", HUGE_BOX), ("tensor", FAR_BOUND), ("form", FAR_BOUND)]
+    + [(kind, _shifted(shift)) for shift in SHIFTS.values() for kind in ("tensor", "form")],
     ids=["tensor-factors-int", "tensor-no-factors", "tensor-windows-object", "form-factors-int",
          "form-no-factors", "form-components-int", "form-components-object",
          "tensor-window-below-lowest-weight", "form-window-below-lowest-weight",
          "tensor-format-1", "form-format-1", "tensor-box-too-large", "form-box-too-large",
-         "tensor-bound-past-index-range", "form-bound-past-index-range"],
+         "tensor-bound-past-index-range", "form-bound-past-index-range"]
+    + [f"{kind}-window-shifted-{name}" for name in SHIFTS for kind in ("tensor", "form")],
 )
 def test_malformed_input_documents_are_schema_errors(tmp_path, capsys, kind, bad):
     cfg = _small_config(k=8)

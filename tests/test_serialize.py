@@ -24,6 +24,7 @@ from paracoh.experiments import cmd_gen
 from paracoh.forms import zero_form
 from paracoh.generate import random_closed_form, random_tensor
 from paracoh.serialize import (
+    MAX_INDEX,
     factor_from_json,
     form_from_json,
     form_to_json,
@@ -326,6 +327,23 @@ def test_window_box_that_cannot_be_allocated_names_its_shape(rng):
         with pytest.raises(SchemaError) as exc:
             tensor_from_json({**doc, "windows": windows})
         assert f"window box {shape} cannot be allocated" in str(exc.value)
+
+
+def test_window_past_the_index_limit_names_it(rng):
+    mp = _mp()
+    doc = tensor_to_json(random_tensor(mp, tuple(default_window(p, 4) for p in mp.factors), rng))
+    top = MAX_INDEX - 8  # the box stays 9 x 5
+    discrete = {"lo": 1, "hi": 5}
+    at_limit = tensor_from_json({**doc, "windows": [{"lo": top, "hi": MAX_INDEX}, discrete]})
+    assert at_limit.windows[0] == IndexWindow(top, MAX_INDEX)
+    for windows, named in (
+        ([{"lo": top + 1, "hi": MAX_INDEX + 1}, discrete], f"[{top + 1}, {MAX_INDEX + 1}]"),
+        ([{"lo": -MAX_INDEX - 1, "hi": -top - 1}, discrete], f"[{-MAX_INDEX - 1}, {-top - 1}]"),
+        ([{"lo": -4, "hi": 4}, {"lo": 10**15, "hi": 10**15 + 4}], f"[{10**15}, {10**15 + 4}]"),
+    ):
+        with pytest.raises(SchemaError) as exc:
+            tensor_from_json({**doc, "windows": windows})
+        assert f"window {named}" in str(exc.value) and f"|k| = {MAX_INDEX}" in str(exc.value)
 
 
 @pytest.mark.parametrize(

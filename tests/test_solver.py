@@ -602,6 +602,51 @@ def test_lstsq_rows_matches_dense_lstsq(p, batch, rng):
             assert np.all(np.abs(resid - ref_resid) <= 1e-10 * ref_resid + floor)
 
 
+def _lstsq_rows_reference(param, win_in, rhs, win_rhs):
+    """The steps of `_lstsq_rows` with f̂, the residual and the product term
+    in arrays of their own: the bits the kernel must give."""
+    fac = _band_factor(param, win_in.lo, win_in.hi)
+    o = win_rhs.lo - fac.win_out.lo
+    f_hat = rhs * fac.w_out[o : o + len(win_rhs)]
+    b = np.zeros((rhs.shape[0], fac.lu.shape[1]), dtype=np.complex128)
+    b[:, 2 * o : 2 * (o + len(win_rhs)) : 2] = f_hat
+    x, _ = _lapack.zgbtrs(fac.lu, _KL, _KU, b.T, fac.piv, overwrite_b=1)
+    off = win_in.lo - fac.win_out.lo
+    sol = x.T[:, 2 * off + 1 :: 2] / fac.w_in
+    n = len(win_in)
+    resid = np.zeros((rhs.shape[0], len(fac.win_out) + 1), dtype=np.complex128)
+    term = np.empty_like(sol)
+    for delta in (-1, 0, 1):
+        start = off + delta + 1
+        resid[:, start : start + n] += np.multiply(fac.wu[delta + 1], sol, out=term)
+    resid[:, o + 1 : o + 1 + len(win_rhs)] -= f_hat
+    parts = resid.view(np.float64)
+    return sol, np.sqrt(np.einsum("ij,ij->i", parts, parts))
+
+
+@pytest.mark.parametrize("pad", [0, 3])
+@pytest.mark.parametrize(
+    "p, win, rows",
+    [
+        (SeriesParam.principal(3.0), IndexWindow(-8, 8), 2601),
+        # clipped at the lowest weight: the output window is one shorter, and
+        # the product term does not fit in the solved system's buffer
+        (SeriesParam.discrete(1), IndexWindow(1, 9), 40),
+        (SeriesParam.complementary(0.9), IndexWindow(-1024, 1024), 1),
+    ],
+    ids=["principal-2601-rows", "discrete-clipped", "complementary-K1024"],
+)
+def test_lstsq_rows_keeps_the_reference_bits(p, win, rows, pad, rng):
+    # pad > 0 solves on a wider window than the right-hand sides', as
+    # `least_squares_probe` does
+    win_in = expand_window(p, win, pad)
+    rhs = rng.standard_normal((rows, len(win))) + 1j * rng.standard_normal((rows, len(win)))
+    sol, resid = _lstsq_rows(p, win_in, rhs, win)
+    ref_sol, ref_resid = _lstsq_rows_reference(p, win_in, rhs, win)
+    assert sol.tobytes() == ref_sol.tobytes()
+    assert resid.tobytes() == ref_resid.tobytes()
+
+
 def test_least_squares_probe_values():
     # residuals of the dense QR this solver replaced, to 1e-10 relative
     cases = [
@@ -651,6 +696,49 @@ def test_top_degree_memory_stays_on_solver_windows(rng):
         tracemalloc.stop()
     assert rep.residual_interior <= 1e-8 * rep.f_norm0
     assert peak < 256 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak / 2**20
+
+
+def _top_d4_input(rng):
+    mp = MultiParam(_TOP_D4)
+    return random_kernel_tensor(mp, tuple(default_window(p, 8) for p in mp.factors), rng)
+
+
+def test_top_degree_solve_holds_f_outputs_and_one_level(rng):
+    # top_d4's factors at K=8, f 0.67 MB: levels that keep their split,
+    # amplitudes, f̂ and residual arrays peak at 8.2 MB
+    f = _top_d4_input(rng)
+    (_, rep), peak = _traced_peak(solve_top, f)
+    assert rep.residual_interior <= 1e-8 * rep.f_norm0
+    assert peak <= 6.5, f"solve_top tracemalloc peak {peak:.2f} MB"
+
+
+def test_verify_holds_one_generator_term_at_a_time(rng):
+    # making every U_i g_i before the hull sum peaks at 5.3 MB
+    f = _top_d4_input(rng)
+    g_list, rep = solve_top(f)
+    rep_again, peak = _traced_peak(verify_solution, f, g_list)
+    assert rep_again.residual_interior == rep.residual_interior
+    assert peak <= 3.0, f"verify_solution tracemalloc peak {peak:.2f} MB"
+
+
+def test_scaled_top_degree_solve_memory(rng):
+    # d=2, K=512: f is 16 MB; a solve that keeps every level's temporaries
+    # peaks at 145 MB (9.1x f)
+    mp = MultiParam(_TOP_D4[:2])
+    f = random_kernel_tensor(mp, tuple(default_window(p, 512) for p in mp.factors), rng)
+    (_, rep), peak = _traced_peak(solve_top, f)
+    assert rep.residual_interior <= 1e-8 * rep.f_norm0
+    assert peak <= 110, f"solve_top tracemalloc peak {peak:.1f} MB"
 
 
 def test_band_factor_weight_underflow_is_typed():

@@ -5,8 +5,8 @@ d = 1, 2, 3, and the reports of the d = 4 factor slice principal(s) x
 complementary(0.9) x discrete(1) x principal(3) with s = 1, 1.5, 2, 2.5
 (which `default_config` cannot build), each with seeds 0, 1, 2:
 
-    solve-top          d=1 at K=32 and K=512, d=2 and d=3 at K=32,
-                       the d=4 slice at K=8
+    solve-top          d=1 at K=32 and K=512, d=2 at K=32 and K=512,
+                       d=3 at K=32, the d=4 slice at K=8
     verify-invariants  d=2
     sweep-bounds       d=2
     solve-form         --degree 1 at d=2 (K=32) and d=3 (K=16),
@@ -78,6 +78,7 @@ RUNS = [
     ("solve-top-d1-k32", default(1), 32, report(experiments.cmd_solve_top)),
     ("solve-top-d1-k512", default(1), 512, report(experiments.cmd_solve_top)),
     ("solve-top-d2", default(2), 32, report(experiments.cmd_solve_top)),
+    ("solve-top-d2-k512", default(2), 512, report(experiments.cmd_solve_top)),
     ("solve-top-d3", default(3), 32, report(experiments.cmd_solve_top)),
     ("solve-top-d4-k8", d4_slice, 8, report(experiments.cmd_solve_top)),
     ("verify-invariants", default(2), 32, report(experiments.cmd_verify_invariants)),
