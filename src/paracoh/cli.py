@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import experiments, serialize
+from . import experiments
 from .config import default_config, load_config, override
 from .errors import (
     AssumptionGateError,
@@ -95,18 +95,26 @@ def _emit(report: experiments.Report, out_dir) -> None:
         print(f"  {key}: {val}")
 
 
-def _load_inputs(paths):
+def _input_paths(paths):
+    """The --input paths, each opened once here so that a missing or
+    unreadable file fails before any work; each solve task reads its own."""
     if not paths:
         return None
-    return [serialize.load_json(p) for p in paths]
+    for path in paths:
+        try:
+            with open(path, "rb"):
+                pass
+        except OSError as exc:
+            raise SchemaError(f"cannot read {path}: {exc}") from exc
+    return paths
 
 
 # command -> (run(cfg, args) giving its Report, exit code of a failing report)
 REPORT_COMMANDS = {
     "verify-invariants": (lambda cfg, a: experiments.cmd_verify_invariants(cfg), EXIT_INVARIANT),
-    "solve-top": (lambda cfg, a: experiments.cmd_solve_top(cfg, _load_inputs(a.input)),
+    "solve-top": (lambda cfg, a: experiments.cmd_solve_top(cfg, _input_paths(a.input)),
                   EXIT_NO_CONVERGENCE),
-    "solve-form": (lambda cfg, a: experiments.cmd_solve_form(cfg, a.degree, _load_inputs(a.input)),
+    "solve-form": (lambda cfg, a: experiments.cmd_solve_form(cfg, a.degree, _input_paths(a.input)),
                    EXIT_NO_CONVERGENCE),
     "sweep-bounds": (lambda cfg, a: experiments.cmd_sweep_bounds(cfg), EXIT_INVARIANT),
 }

@@ -7,8 +7,8 @@ map, with per-task RNG streams derived from (seed, index), so identical
 config+seed yields an identical report regardless of scheduling.
 
 `_component_input` is the one source of a component's input: the kernel
-tensor or closed form drawn from (seed, index), or a loaded document over
-the component's factors.  `gen` writes what a solve without inputs draws.
+tensor or closed form drawn from (seed, index), or a document over the
+component's factors, which the component's task reads when given its path.  `gen` writes what a solve without inputs draws.
 Every gated check row comes from `_gate_row`.
 
 The random-sample checks carry a leading batch axis: the projection
@@ -293,10 +293,12 @@ def cmd_verify_invariants(cfg: ExperimentConfig) -> Report:
 
 
 def _component_input(cfg: ExperimentConfig, idx: int, comp: ComponentConfig,
-                     degree: int | None, doc: dict | None):
+                     degree: int | None, doc):
     """What component `idx` is solved on: a kernel tensor (degree None) or a
-    closed form of `degree`, drawn from (seed, idx) on the default windows,
-    or loaded from `doc`, whose windows may differ but factors may not."""
+    closed form of `degree`, drawn from (seed, idx) on the default windows
+    when `doc` is None, or loaded from `doc`, a document or the path of one,
+    whose windows may differ but factors may not.  A path is read here, so
+    its text and document live only while the input is decoded."""
     params = cfg.multi_param(comp)
     if doc is None:
         windows = tuple(default_window(p, cfg.k_per_axis) for p in params.factors)
@@ -304,6 +306,8 @@ def _component_input(cfg: ExperimentConfig, idx: int, comp: ComponentConfig,
         if degree is None:
             return generate.random_kernel_tensor(params, windows, rng)
         return generate.random_closed_form(params, windows, degree, rng)[0]
+    if isinstance(doc, (str, os.PathLike)):
+        doc = serialize.load_json(doc)
     load = serialize.tensor_from_json if degree is None else serialize.form_from_json
     obj = load(doc, eps0=cfg.eps0, nu0=cfg.nu0)
     if obj.params.factors != params.factors:
@@ -316,8 +320,9 @@ def _component_input(cfg: ExperimentConfig, idx: int, comp: ComponentConfig,
 
 def _solve_components(cfg: ExperimentConfig, input_docs, degree, solve, row) -> list[dict]:
     """row(comp, input, report, fn0) for every component, through the parallel
-    map: each input (its document in `input_docs`, or drawn when None) solved
-    by `solve`; fn0 is the input's norm, or 1 for a zero input."""
+    map: each input (its document, or the path of one, in `input_docs`, or
+    drawn when None) solved by `solve`; fn0 is the input's norm, or 1 for a
+    zero input.  A task loads its own input, so a worker holds one document."""
     n = len(cfg.components)
     if input_docs is not None and len(input_docs) != n:
         raise ConfigError(f"{len(input_docs)} inputs for {n} components")
@@ -340,6 +345,8 @@ def _solve_report(cfg: ExperimentConfig, command: str, rows: list[dict], **metad
 
 
 def cmd_solve_top(cfg: ExperimentConfig, input_docs=None) -> Report:
+    """Top-degree solves; `input_docs` holds one document, or the path of
+    one, per component, and None draws the inputs."""
     def row(comp, f, rep, fn0):
         return {
             "param": comp.label,
@@ -367,6 +374,8 @@ def _check_form_degree(cfg: ExperimentConfig, degree: int | None) -> None:
 
 
 def cmd_solve_form(cfg: ExperimentConfig, degree: int, input_docs=None) -> Report:
+    """Primitive solves of degree-`degree` forms; `input_docs` as in
+    `cmd_solve_top`."""
     _check_form_degree(cfg, degree)
 
     def row(comp, w, rep, fn0):

@@ -24,6 +24,14 @@ one joint least-squares solve over all axes.  A form's norm is the root sum of
 its components' squared `repn.sobolev_norm_array` norms, each component
 normed once for all orders: `solve_primitive` norms w once for ||w||_0 and
 every varsigma_d(t), and eta once for every t.
+
+A primitive solve holds its input, its output and one level's workspace.
+The closedness defect ||d w||_0 and the residual ||d eta - w||_0 are summed
+one component at a time, in `itertools.combinations` order, each component
+made by the builder `exterior_derivative` uses and dropped once normed.  The
+recursion negates theta in its own buffer, hands each dict of arrays it only
+passes on to the level below, which empties it once used, and drops every
+eta1 and zeta array once it is embedded in the assembled output.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ import numpy as np
 
 from . import repn, tensor
 from .errors import InvalidIndex, NoConvergence, NotClosed, ThetaNotVanishing
-from .params import IndexWindow, MultiParam, check_window, expand_window
+from .params import IndexWindow, MultiParam, SeriesParam, check_window, expand_window
 from .solver import (
     SolveOptions,
     SolveReport,
@@ -110,44 +118,86 @@ def form_sobolev_norm(w: LeafwiseForm, t: float | tuple[float, ...]) -> float | 
     """sqrt of the sum of the components' squared norms; `t` is one order or a
     tuple of orders, as in `repn.sobolev_norm_array`."""
     orders = t if isinstance(t, tuple) else (t,)
-    totals = [0.0] * len(orders)
-    for arr in w.components.values():
-        norms = repn.sobolev_norm_array(w.params.factors, w.windows, arr, orders).tolist()
-        totals = [total + norm**2 for total, norm in zip(totals, norms)]
-    return np.sqrt(totals) if isinstance(t, tuple) else float(np.sqrt(totals[0]))
+    norms = _form_norms(w.params.factors, w.windows, w.components, w.components.get, orders)
+    return norms if isinstance(t, tuple) else float(norms[0])
 
 
 def form_norm0(w: LeafwiseForm) -> float:
     return form_sobolev_norm(w, 0.0)
 
 
-def exterior_derivative(w: LeafwiseForm) -> LeafwiseForm:
-    """Degree n+1 form; every window grows by one."""
+def _form_norms(factors, windows, keys, component, orders) -> np.ndarray:
+    """Per order, the norm of the form whose component at each key is
+    component(key) on `windows`: the squares add in key order, and each
+    component is made, normed and dropped before the next."""
+    totals = [0.0] * len(orders)
+    for key in keys:
+        norms = repn.sobolev_norm_array(factors, windows, component(key), orders).tolist()
+        totals = [total + norm**2 for total, norm in zip(totals, norms)]
+    return np.sqrt(totals)
+
+
+def _d_windows(w: LeafwiseForm) -> tuple[IndexWindow, ...]:
+    """The windows of d w: every window of w grown by one."""
     if w.degree >= w.d:
         raise ValueError(f"cannot differentiate a degree-{w.degree} form when d={w.d}")
-    out_windows = tuple(
-        expand_window(p, win, 1) for p, win in zip(w.params.factors, w.windows)
-    )
-    out_shape = tuple(len(win) for win in out_windows)
-    comps = {}
-    for axes in itertools.combinations(range(w.d), w.degree + 1):
-        acc = np.zeros(out_shape, dtype=np.complex128)
-        for pos, axis in enumerate(axes):
-            src = axes[:pos] + axes[pos + 1 :]
-            term, term_win = tensor.apply_u_axis_array(
-                w.components[src], axis, w.params.factors[axis], w.windows[axis]
-            )
-            wins = list(w.windows)
-            wins[axis] = term_win
-            acc += (-1.0) ** pos * tensor.embed_array(term, tuple(wins), out_windows)
-        comps[axes] = acc
-    return LeafwiseForm(w.degree + 1, w.params, out_windows, comps)
+    return tuple(expand_window(p, win, 1) for p, win in zip(w.params.factors, w.windows))
+
+
+def _d_component(w: LeafwiseForm, axes: Axes, windows: tuple[IndexWindow, ...]) -> np.ndarray:
+    """Component `axes` of d w on `windows`, which cover d w's: the signed
+    U_a terms are added into zeros in the order of `axes`, each made only to
+    be added."""
+    out = np.zeros(tuple(len(win) for win in windows), dtype=np.complex128)
+    for pos, axis in enumerate(axes):
+        term, term_win = tensor.apply_u_axis_array(
+            w.components[axes[:pos] + axes[pos + 1 :]], axis, w.params.factors[axis],
+            w.windows[axis],
+        )
+        # a product even for +1: a subtraction would differ at non-finite entries
+        np.multiply(term, (-1.0) ** pos, out=term)
+        wins = w.windows[:axis] + (term_win,) + w.windows[axis + 1 :]
+        view = out[tensor.sub_slices(wins, windows)]
+        np.add(view, term, out=view)
+    return out
+
+
+def exterior_derivative(w: LeafwiseForm) -> LeafwiseForm:
+    """Degree n+1 form; every window grows by one."""
+    windows = _d_windows(w)
+    comps = {axes: _d_component(w, axes, windows)
+             for axes in itertools.combinations(range(w.d), w.degree + 1)}
+    return LeafwiseForm(w.degree + 1, w.params, windows, comps)
+
+
+def _closedness_defect(w: LeafwiseForm) -> float:
+    """||d w||_0, one component of d w at a time."""
+    windows = _d_windows(w)
+    keys = itertools.combinations(range(w.d), w.degree + 1)
+    return float(_form_norms(w.params.factors, windows, keys,
+                             lambda axes: _d_component(w, axes, windows), (0.0,))[0])
 
 
 def is_closed(w: LeafwiseForm, tol: float = 1e-10) -> tuple[bool, float]:
     """(closed?, absolute defect ||d w||_0); closed iff defect <= tol*||w||_0."""
-    defect = form_norm0(exterior_derivative(w))
+    defect = _closedness_defect(w)
     return defect <= tol * form_norm0(w), defect
+
+
+def _primitive_residual(eta: LeafwiseForm, w: LeafwiseForm) -> float:
+    """||d eta - w||_0 on the hull of their windows, one component at a time:
+    d eta's component is made on the hull and w's is subtracted from it."""
+    hull = tensor.hull(_d_windows(eta), w.windows)
+    w_block = tensor.sub_slices(w.windows, hull)
+
+    def component(axes: Axes) -> np.ndarray:
+        arr = _d_component(eta, axes, hull)
+        view = arr[w_block]
+        np.subtract(view, w.components[axes], out=view)
+        return arr
+
+    keys = itertools.combinations(range(w.d), w.degree)
+    return float(_form_norms(w.params.factors, hull, keys, component, (0.0,))[0])
 
 
 def restrict_form(w: LeafwiseForm, axis: int, k: int) -> LeafwiseForm:
@@ -212,10 +262,11 @@ def _top_degree_slice(
 ) -> tuple[dict[Axes, np.ndarray], tuple[IndexWindow, ...]]:
     """Primitives of a batch of top-degree forms over the remaining axes, via
     the coboundary solve, on the forms' windows; component at (all axes
-    except p) gets sign (-1)^p."""
+    except p) gets sign (-1)^p, in the solve's own arrays."""
     sols = _solve_top_rec(sub_params, sub_windows, f_arr, opts, scale)
     every = tuple(range(sub_params.d))
-    comps = {every[:p] + every[p + 1 :]: (-1.0) ** p * arr for p, arr in enumerate(sols)}
+    comps = {every[:p] + every[p + 1 :]: np.multiply(arr, (-1.0) ** p, out=arr)
+             for p, arr in enumerate(sols)}
     return comps, sub_windows
 
 
@@ -228,7 +279,13 @@ def _primitive_rec(
     scale: float,
 ) -> tuple[dict[Axes, np.ndarray], tuple[IndexWindow, ...]]:
     """Primitives of a batch of closed degree-n forms (1 <= n <= d-1), axes
-    0-based; every component array has the batch axis first."""
+    0-based; every component array has the batch axis first.
+
+    Above degree 1 the call empties `comps` once its remainder theta is
+    made, and the dicts it hands down are emptied in turn, so an array only
+    a dict holds is freed as soon as it is used.  A level then holds its
+    input, its output and its own workspace.
+    """
     d = params.d
     batch = next(iter(comps.values())).shape[0]
     sub_params = params.drop(0)
@@ -247,22 +304,16 @@ def _primitive_rec(
     else:
         got = _primitive_rec(sub_params, sub_windows, sub, n, opts, scale)
     eta1_comps, eta1_sub_windows = _stack_slices(got, batch)
+    del got  # eta1_comps holds the only references
     eta1_windows = (w0,) + eta1_sub_windows
 
     # theta: the components containing axis 0, minus U_0 eta1
     theta_comps: dict[Axes, np.ndarray] = {}
-    theta_windows = None
     for axes in itertools.combinations(range(1, d), n - 1):
-        om_arr = comps[(0,) + axes]
-        e_arr = eta1_comps[tuple(a - 1 for a in axes)]
-        u0, w0x = tensor.apply_u_axis_array(e_arr, 1, params.factors[0], w0)
-        u0_wins = (w0x,) + eta1_sub_windows
-        hull = tensor.hull(u0_wins, windows)
-        theta = tensor.embed_array(om_arr, windows, hull) - tensor.embed_array(
-            u0, u0_wins, hull
+        theta_comps[axes], theta_windows = _remainder(
+            params.factors[0], comps[(0,) + axes], windows,
+            eta1_comps[tuple(a - 1 for a in axes)], eta1_windows,
         )
-        theta_comps[axes] = theta
-        theta_windows = hull
 
     if n == 1:
         # theta is a 0-form invariant under every remaining generator: it must
@@ -287,26 +338,50 @@ def _primitive_rec(
             eta, wins = tensor.embed_array(eta, wins, joint_wins), joint_wins
             eta[b] = got[()]
         return {(): eta}, wins
+    comps.clear()
 
     # zeta: primitives of the theta slices, recursed at degree n-1.  The
     # assembled components containing axis 0 enter d(eta) through -d(zeta_k),
-    # so zeta solves for the negated remainder.
-    sub = {tuple(a - 1 for a in axes): -_unfold(arr) for axes, arr in theta_comps.items()}
+    # so zeta solves for the negated remainder, negated in theta's buffer.
+    sub = {tuple(a - 1 for a in axes): _unfold(np.negative(arr, out=arr))
+           for axes, arr in theta_comps.items()}
+    del theta_comps  # sub holds the only references, which the recursion drops
     got = _primitive_rec(sub_params, theta_windows[1:], sub, n - 1, opts, scale)
+    del sub
     zeta_comps, zeta_sub_windows = _stack_slices(got, batch)
+    del got
     zeta_windows = (theta_windows[0],) + zeta_sub_windows
 
     # assemble: tuples with axis 0 take zeta slices, the rest take eta1 (n >= 2
-    # here, so both kinds occur and the hull covers both window tuples)
+    # here, so both kinds occur and the hull covers both window tuples); each
+    # source is dropped once it is embedded
     hull = tensor.hull(zeta_windows, eta1_windows)
     out = {}
     for axes in itertools.combinations(range(d), n - 1):
         if axes[0] == 0:
-            arr, wins = zeta_comps[tuple(a - 1 for a in axes[1:])], zeta_windows
+            arr, wins = zeta_comps.pop(tuple(a - 1 for a in axes[1:])), zeta_windows
         else:
-            arr, wins = eta1_comps[tuple(a - 1 for a in axes)], eta1_windows
+            arr, wins = eta1_comps.pop(tuple(a - 1 for a in axes)), eta1_windows
         out[axes] = tensor.embed_array(arr, wins, hull)
     return out, hull
+
+
+def _remainder(
+    p0: SeriesParam,
+    om_arr: np.ndarray,
+    windows: tuple[IndexWindow, ...],
+    e_arr: np.ndarray,
+    e_windows: tuple[IndexWindow, ...],
+) -> tuple[np.ndarray, tuple[IndexWindow, ...]]:
+    """om - U_0 e for batches on `windows` and `e_windows`, on the hull of
+    `windows` and U_0 e's windows: om embedded there, U_0 e subtracted in place."""
+    u0, w0x = tensor.apply_u_axis_array(e_arr, 1, p0, e_windows[0])
+    u0_wins = (w0x,) + e_windows[1:]
+    hull = tensor.hull(u0_wins, windows)
+    theta = tensor.embed_array(om_arr, windows, hull)
+    view = theta[(...,) + tensor.sub_slices(u0_wins, hull)]
+    np.subtract(view, u0, out=view)
+    return theta, hull
 
 
 def _unfold(arr: np.ndarray) -> np.ndarray:
@@ -398,7 +473,7 @@ def solve_primitive(
         raise ValueError(f"solve_primitive needs d >= 2 and 1 <= degree <= d-1, got n={n}, d={d}")
     w_norms = form_sobolev_norm(w, (0.0,) + tuple(varsigma_schedule(t, d) for t in opts.t_list))
     wn0, denoms = float(w_norms[0]), w_norms[1:].tolist()
-    defect = form_norm0(exterior_derivative(w))
+    defect = _closedness_defect(w)
     if not defect <= opts.tol_kernel * wn0:  # as is_closed decides
         raise NotClosed(
             f"||d w||_0 = {defect:.3e} exceeds {opts.tol_kernel:.1e} * ||w||_0"
@@ -409,8 +484,7 @@ def solve_primitive(
     batch = {axes: arr[None] for axes, arr in w.components.items()}
     comps, hull = _primitive_rec(w.params, w.windows, batch, n, opts, wn0)
     eta = LeafwiseForm(n - 1, w.params, hull, {axes: arr[0] for axes, arr in comps.items()})
-    resid_form = _form_difference(exterior_derivative(eta), w)
-    residual = form_norm0(resid_form)
+    residual = _primitive_residual(eta, w)
     if residual > opts.tol_residual * wn0:
         raise NoConvergence(
             f"primitive residual {residual:.3e} above {opts.tol_residual:.1e} * ||w||_0"
@@ -419,15 +493,3 @@ def solve_primitive(
     ratios = {t: num / denom if denom > 0 else 0.0
               for t, num, denom in zip(opts.t_list, nums, denoms)}
     return eta, SolveReport(residual, wn0, defect, ratios, 0)
-
-
-def _form_difference(a: LeafwiseForm, b: LeafwiseForm) -> LeafwiseForm:
-    if a.degree != b.degree or a.params != b.params:
-        raise ValueError("form mismatch")
-    hull = tensor.hull(a.windows, b.windows)
-    comps = {
-        axes: tensor.embed_array(a.components[axes], a.windows, hull)
-        - tensor.embed_array(b.components[axes], b.windows, hull)
-        for axes in a.components
-    }
-    return LeafwiseForm(a.degree, a.params, hull, comps)

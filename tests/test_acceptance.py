@@ -47,6 +47,7 @@ from paracoh.tensor import (
     valid_tags,
 )
 from paracoh import forms
+from tests.test_forms import _form_difference
 
 
 def acceptance_grid():
@@ -227,9 +228,7 @@ def test_criterion_07_lower_degrees():
         w, _ = random_closed_form(mp, wins, n, rng)
         eta, rep = pc.solve_primitive(w)
         worst = max(worst, rep.residual_interior / rep.f_norm0)
-        resid = forms.form_norm0(
-            forms._form_difference(forms.exterior_derivative(eta), w)
-        )
+        resid = forms.form_norm0(_form_difference(forms.exterior_derivative(eta), w))
         worst = max(worst, resid / forms.form_norm0(w))
     assert worst <= 1e-6, f"primitive residual {worst:.3e}"
     worst_dd = 0.0

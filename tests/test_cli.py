@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from paracoh import ConfigError, SchemaError, experiments
+from paracoh import ConfigError, SchemaError, experiments, forms, solver
 from paracoh.cli import EXIT_CONFIG, main
 from paracoh.config import config_hash, config_to_json, default_config, load_config
 from paracoh.serialize import form_from_json, load_json, tensor_from_json
@@ -309,6 +309,32 @@ def test_unreadable_input_files_are_schema_errors(tmp_path, capsys):
         assert main(argv + ["--input", str(path)] * 3) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config error:" in err and str(path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["tensor", "form"])
+def test_a_missing_or_malformed_input_fails_naming_its_file(tmp_path, capsys, monkeypatch, kind):
+    # every path is opened before the first solve; a document is read and
+    # decoded by the task of its component, so a malformed one fails there
+    cfg = _small_config(k=8)
+    docs = _gen_docs(tmp_path, cfg, kind, None if kind == "tensor" else 1)
+    argv = _solve_argv(tmp_path, cfg, kind, docs)
+    second = tmp_path / "input1.json"
+    text = second.read_text()
+    solves = []
+    name = "solve_top" if kind == "tensor" else "solve_primitive"
+    module = solver if kind == "tensor" else forms
+    solve = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: solves.append(1) or solve(*a, **k))
+    second.unlink()
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: cannot read {second}" in err and "Traceback" not in err
+    assert not solves and not (tmp_path / "out").exists()
+    second.write_text(text[: len(text) // 2])
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: {second} is not UTF-8 JSON" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("kind", ["tensor", "form"])

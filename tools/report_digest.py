@@ -10,7 +10,8 @@ complementary(0.9) x discrete(1) x principal(3) with s = 1, 1.5, 2, 2.5
     verify-invariants  d=2
     sweep-bounds       d=2
     solve-form         --degree 1 at d=2 (K=32) and d=3 (K=16),
-                       --degree 2 at d=3 (K=32)
+                       --degree 2 at d=3 (K=32), --degree 2 and --degree 3
+                       on the d=4 slice at K=8
     gen                --kind tensor at d=2 (K=32),
                        --kind form --degree 1 and --degree 2 at d=3 (K=16)
 
@@ -87,6 +88,8 @@ RUNS = [
     ("solve-form-deg1-d3-k16", default(3), 16,
      report(lambda cfg: experiments.cmd_solve_form(cfg, 1))),
     ("solve-form-deg2-d3", default(3), 32, report(lambda cfg: experiments.cmd_solve_form(cfg, 2))),
+    ("solve-form-deg2-d4-k8", d4_slice, 8, report(lambda cfg: experiments.cmd_solve_form(cfg, 2))),
+    ("solve-form-deg3-d4-k8", d4_slice, 8, report(lambda cfg: experiments.cmd_solve_form(cfg, 3))),
     ("gen-tensor-d2", default(2), 32, gen("tensor")),
     ("gen-form-deg1-d3-k16", default(3), 16, gen("form", 1)),
     ("gen-form-deg2-d3-k16", default(3), 16, gen("form", 2)),
