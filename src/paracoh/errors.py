@@ -31,7 +31,8 @@ class NotInKernel(ParacohError):
 
 
 class NoConvergence(ParacohError):
-    """Solver failed to stabilize within the refinement budget."""
+    """A solve's residual exceeds tol_residual * scale, or its band factor
+    cannot be formed."""
 
 
 class NotClosed(ParacohError):

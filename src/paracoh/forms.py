@@ -28,10 +28,12 @@ every varsigma_d(t), and eta once for every t.
 A primitive solve holds its input, its output and one level's workspace.
 The closedness defect ||d w||_0 and the residual ||d eta - w||_0 are summed
 one component at a time, in `itertools.combinations` order, each component
-made by the builder `exterior_derivative` uses and dropped once normed.  The
-recursion negates theta in its own buffer, hands each dict of arrays it only
-passes on to the level below, which empties it once used, and drops every
-eta1 and zeta array once it is embedded in the assembled output.
+made by `tensor.u_sum`, as in `exterior_derivative` and theta, and dropped
+once normed.  The recursion negates theta in its own buffer, hands each dict
+of arrays it only passes on to the level below, which empties it once used,
+and drops every eta1 array once it is embedded in the assembled output.
+Above degree 1 a level returns on zeta's windows, which cover eta1's, so
+the zeta arrays go up as they are and no hull is formed.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import numpy as np
 
 from . import repn, tensor
 from .errors import InvalidIndex, NoConvergence, NotClosed, ThetaNotVanishing
-from .params import IndexWindow, MultiParam, SeriesParam, check_window, expand_window
+from .params import IndexWindow, MultiParam, check_window, expand_window
 from .solver import (
     SolveOptions,
     SolveReport,
@@ -144,22 +146,16 @@ def _d_windows(w: LeafwiseForm) -> tuple[IndexWindow, ...]:
     return tuple(expand_window(p, win, 1) for p, win in zip(w.params.factors, w.windows))
 
 
+def _d_terms(w: LeafwiseForm, axes: Axes) -> list:
+    """The `tensor.u_sum` terms of component `axes` of d w, in the order of
+    `axes`: (-1)^p U_{a_p} w(axes without a_p)."""
+    return [((-1) ** pos, w.components[axes[:pos] + axes[pos + 1 :]], w.windows, axis - w.d)
+            for pos, axis in enumerate(axes)]
+
+
 def _d_component(w: LeafwiseForm, axes: Axes, windows: tuple[IndexWindow, ...]) -> np.ndarray:
-    """Component `axes` of d w on `windows`, which cover d w's: the signed
-    U_a terms are added into zeros in the order of `axes`, each made only to
-    be added."""
-    out = np.zeros(tuple(len(win) for win in windows), dtype=np.complex128)
-    for pos, axis in enumerate(axes):
-        term, term_win = tensor.apply_u_axis_array(
-            w.components[axes[:pos] + axes[pos + 1 :]], axis, w.params.factors[axis],
-            w.windows[axis],
-        )
-        # a product even for +1: a subtraction would differ at non-finite entries
-        np.multiply(term, (-1.0) ** pos, out=term)
-        wins = w.windows[:axis] + (term_win,) + w.windows[axis + 1 :]
-        view = out[tensor.sub_slices(wins, windows)]
-        np.add(view, term, out=view)
-    return out
+    """Component `axes` of d w on `windows`, which cover d w's."""
+    return tensor.u_sum(w.params.factors, _d_terms(w, axes), windows)[0]
 
 
 def exterior_derivative(w: LeafwiseForm) -> LeafwiseForm:
@@ -186,15 +182,12 @@ def is_closed(w: LeafwiseForm, tol: float = 1e-10) -> tuple[bool, float]:
 
 def _primitive_residual(eta: LeafwiseForm, w: LeafwiseForm) -> float:
     """||d eta - w||_0 on the hull of their windows, one component at a time:
-    d eta's component is made on the hull and w's is subtracted from it."""
+    each is d eta's component with w's subtracted last."""
     hull = tensor.hull(_d_windows(eta), w.windows)
-    w_block = tensor.sub_slices(w.windows, hull)
 
     def component(axes: Axes) -> np.ndarray:
-        arr = _d_component(eta, axes, hull)
-        view = arr[w_block]
-        np.subtract(view, w.components[axes], out=view)
-        return arr
+        terms = _d_terms(eta, axes) + [(-1, w.components[axes], w.windows, None)]
+        return tensor.u_sum(w.params.factors, terms, hull)[0]
 
     keys = itertools.combinations(range(w.d), w.degree)
     return float(_form_norms(w.params.factors, hull, keys, component, (0.0,))[0])
@@ -307,13 +300,14 @@ def _primitive_rec(
     del got  # eta1_comps holds the only references
     eta1_windows = (w0,) + eta1_sub_windows
 
-    # theta: the components containing axis 0, minus U_0 eta1
+    # theta: the components containing axis 0, minus U_0 eta1, which goes
+    # first so that theta is allocated after the stencil's workspace is freed
     theta_comps: dict[Axes, np.ndarray] = {}
     for axes in itertools.combinations(range(1, d), n - 1):
-        theta_comps[axes], theta_windows = _remainder(
-            params.factors[0], comps[(0,) + axes], windows,
-            eta1_comps[tuple(a - 1 for a in axes)], eta1_windows,
-        )
+        theta_comps[axes], theta_windows = tensor.u_sum(params.factors, [
+            (-1, eta1_comps[tuple(a - 1 for a in axes)], eta1_windows, -d),
+            (1, comps[(0,) + axes], windows, None),
+        ])
 
     if n == 1:
         # theta is a 0-form invariant under every remaining generator: it must
@@ -352,36 +346,18 @@ def _primitive_rec(
     del got
     zeta_windows = (theta_windows[0],) + zeta_sub_windows
 
-    # assemble: tuples with axis 0 take zeta slices, the rest take eta1 (n >= 2
-    # here, so both kinds occur and the hull covers both window tuples); each
-    # source is dropped once it is embedded
-    hull = tensor.hull(zeta_windows, eta1_windows)
+    # assemble on zeta's windows, which cover eta1's: theta's cover eta1's
+    # with axis 0 widened, and a primitive's cover its input's.  Tuples with
+    # axis 0 take zeta slices as they are, the rest take eta1, each dropped
+    # once it is embedded.
     out = {}
     for axes in itertools.combinations(range(d), n - 1):
         if axes[0] == 0:
-            arr, wins = zeta_comps.pop(tuple(a - 1 for a in axes[1:])), zeta_windows
+            out[axes] = zeta_comps.pop(tuple(a - 1 for a in axes[1:]))
         else:
-            arr, wins = eta1_comps.pop(tuple(a - 1 for a in axes)), eta1_windows
-        out[axes] = tensor.embed_array(arr, wins, hull)
-    return out, hull
-
-
-def _remainder(
-    p0: SeriesParam,
-    om_arr: np.ndarray,
-    windows: tuple[IndexWindow, ...],
-    e_arr: np.ndarray,
-    e_windows: tuple[IndexWindow, ...],
-) -> tuple[np.ndarray, tuple[IndexWindow, ...]]:
-    """om - U_0 e for batches on `windows` and `e_windows`, on the hull of
-    `windows` and U_0 e's windows: om embedded there, U_0 e subtracted in place."""
-    u0, w0x = tensor.apply_u_axis_array(e_arr, 1, p0, e_windows[0])
-    u0_wins = (w0x,) + e_windows[1:]
-    hull = tensor.hull(u0_wins, windows)
-    theta = tensor.embed_array(om_arr, windows, hull)
-    view = theta[(...,) + tensor.sub_slices(u0_wins, hull)]
-    np.subtract(view, u0, out=view)
-    return theta, hull
+            arr = eta1_comps.pop(tuple(a - 1 for a in axes))
+            out[axes] = tensor.embed_array(arr, eta1_windows, zeta_windows)
+    return out, zeta_windows
 
 
 def _unfold(arr: np.ndarray) -> np.ndarray:
@@ -480,7 +456,7 @@ def solve_primitive(
         )
     if wn0 == 0.0:
         eta = zero_form(w.params, w.windows, n - 1)
-        return eta, SolveReport(0.0, 0.0, defect, {t: 0.0 for t in opts.t_list}, 0)
+        return eta, SolveReport(0.0, 0.0, defect, {t: 0.0 for t in opts.t_list})
     batch = {axes: arr[None] for axes, arr in w.components.items()}
     comps, hull = _primitive_rec(w.params, w.windows, batch, n, opts, wn0)
     eta = LeafwiseForm(n - 1, w.params, hull, {axes: arr[0] for axes, arr in comps.items()})
@@ -492,4 +468,4 @@ def solve_primitive(
     nums = form_sobolev_norm(eta, tuple(opts.t_list)).tolist()
     ratios = {t: num / denom if denom > 0 else 0.0
               for t, num, denom in zip(opts.t_list, nums, denoms)}
-    return eta, SolveReport(residual, wn0, defect, ratios, 0)
+    return eta, SolveReport(residual, wn0, defect, ratios)

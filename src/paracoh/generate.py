@@ -122,10 +122,9 @@ def random_coboundary_tensor(
     """(f, [h_i]) with f = sum_i U_i h_i on the original windows."""
     arrs = random_coeffs(params, windows, rng, params.d, decay, max(margin, 2))
     hs = [TensorCoeffs(params, tuple(windows), arr) for arr in arrs]
-    f = tensor.zeros(params, windows)
-    for i, h in enumerate(hs):
-        f = tensor.add(f, tensor.apply_U_factor(h, i))
-    return f.embedded(windows), hs
+    terms = [(1, h.coeffs, h.windows, i - params.d) for i, h in enumerate(hs)]
+    f, hull = tensor.u_sum(params.factors, terms)
+    return TensorCoeffs(params, tuple(windows), tensor.embed_array(f, hull, windows)), hs
 
 
 def random_form(

@@ -29,15 +29,15 @@ one batch, so each level makes one least-squares call whatever the batch
 size (`forms` puts every axis-0 slice of a form in one batch).  Every
 g_i comes back on f's windows, and every row whose residual misses
 tol_residual * scale raises NoConvergence.  `verify_solution` sums the
-residual on one hull, f's windows widened by one on each axis.  Every norm
-goes through `repn.sobolev_norm_array`: the verification norms f once for
-||f||_0 and every sigma_d(t), and each g_i once for every t.
+residual with `tensor.u_sum` on one hull, f's windows widened by one on each
+axis.  Every norm goes through `repn.sobolev_norm_array`: the verification
+norms f once for ||f||_0 and every sigma_d(t), and each g_i once for every t.
 
 Memory: a top-degree solve holds f, its d outputs and one level's workspace
 at a time.  `_lstsq_rows` allocates only the zgbtrs right-hand sides and the
 solutions, and forms the residual in the former's buffer; a level drops
 f_otimes, the amplitudes and their batch once its rows exist, and makes its
-product buffer only after the sub-recursion returns; `verify_solution` makes
+product buffer only after the sub-recursion returns; `tensor.u_sum` makes
 each U_i g_i only to add it into the hull.
 """
 
@@ -91,16 +91,13 @@ class SolveReport:
     """Residual and Sobolev-ratio diagnostics for one solver call.
 
     residual_interior and kernel_defect are absolute ||.||_0 quantities;
-    divide by f_norm0 for the relative gates.  refinements_used is always 0,
-    as every solve runs once on its input's windows; it stays because the
-    report schema has a `refinements` key.
+    divide by f_norm0 for the relative gates.
     """
 
     residual_interior: float
     f_norm0: float
     kernel_defect: float
     sobolev_ratios: dict[float, float] = field(default_factory=dict)
-    refinements_used: int = 0
 
 
 # SPLIT_C is both what each level of `sigma_schedule` adds and the order
@@ -183,44 +180,41 @@ def _band_factor(param: SeriesParam, lo: int, hi: int) -> _Factor:
 
 
 def _lstsq_rows(
-    param: SeriesParam, win_in: IndexWindow, rhs: np.ndarray, win_rhs: IndexWindow
+    param: SeriesParam, win_in: IndexWindow, rhs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares solve of the generator for a batch of right-hand sides.
 
-    rhs has shape (batch, len(win_rhs)); returns (solutions on win_in,
-    per-row residual in the ||.||_0 metric over the full output window).
-    Besides the two results it allocates only the zgbtrs right-hand sides b,
-    whose buffer then holds the residual and its product term.
+    rhs has shape (batch, len(win_in)), on the solve's own window; returns
+    (solutions on win_in, per-row residual in the ||.||_0 metric over the
+    full output window).  Besides the two results it allocates only the
+    zgbtrs right-hand sides b, whose buffer then holds the residual and its
+    product term.
     """
     fac = _band_factor(param, win_in.lo, win_in.hi)
-    if not fac.win_out.contains_window(win_rhs):
-        raise ValueError("rhs window exceeds the solve's output window")
-    o, r = win_rhs.lo - fac.win_out.lo, len(win_rhs)
-    w_rhs = fac.w_out[o : o + r]
+    n, off = len(win_in), win_in.lo - fac.win_out.lo
+    w_rhs = fac.w_out[off : off + n]
     batch, width = rhs.shape[0], fac.lu.shape[1]
     # rows of b are right-hand sides, so b.T is the column-major (N, batch) zgbtrs
     # wants; f̂ = w_out f goes into the even slots
     b = np.zeros((batch, width), dtype=np.complex128)
-    np.multiply(rhs, w_rhs, out=b[:, 2 * o : 2 * (o + r) : 2])
+    np.multiply(rhs, w_rhs, out=b[:, 2 * off : 2 * (off + n) : 2])
     x, _ = _lapack.zgbtrs(fac.lu, _KL, _KU, b.T, fac.piv, overwrite_b=1)
-    off = win_in.lo - fac.win_out.lo
     sol = x.T[:, 2 * off + 1 :: 2] / fac.w_in
     # residual Â x̂ - f̂ = w_out U g - f̂ from the band, one column ahead so
     # that every slice starts at >= 0, in the buffer sol was read from (a view:
     # x is column-major); f̂ is formed again in the product term
-    n, m = len(win_in), len(fac.win_out) + 1
-    t = max(n, r)
+    m = len(fac.win_out) + 1
     buf = np.ravel(x.T)
     resid = buf[: batch * m].reshape(batch, m)
     resid[...] = 0.0
-    if width >= m + t:
-        term = buf[batch * m : batch * (m + t)].reshape(batch, t)
+    if width >= m + n:
+        term = buf[batch * m : batch * (m + n)].reshape(batch, n)
     else:  # a window clipped at the lowest weight has one output fewer
-        term = np.empty((batch, t), dtype=np.complex128)
+        term = np.empty((batch, n), dtype=np.complex128)
     for delta in (-1, 0, 1):
         start = off + delta + 1
-        resid[:, start : start + n] += np.multiply(fac.wu[delta + 1], sol, out=term[:, :n])
-    resid[:, o + 1 : o + 1 + r] -= np.multiply(rhs, w_rhs, out=term[:, :r])
+        resid[:, start : start + n] += np.multiply(fac.wu[delta + 1], sol, out=term)
+    resid[:, off + 1 : off + 1 + n] -= np.multiply(rhs, w_rhs, out=term)
     parts = resid.view(np.float64)  # row norms without a complex temporary
     return sol, np.sqrt(np.einsum("ij,ij->i", parts, parts))
 
@@ -239,7 +233,7 @@ def _solve_rows_refined(
     the count is always 0 and stays in the result for its readers.  Raises
     NoConvergence if some row's residual exceeds tol_residual * scale.
     """
-    sol, resid = _lstsq_rows(param, win_rhs, rhs, win_rhs)
+    sol, resid = _lstsq_rows(param, win_rhs, rhs)
     tol = opts.tol_residual * scale
     worst = float(np.max(resid, initial=0.0))
     if not np.all(resid <= tol):
@@ -404,7 +398,7 @@ def solve_top(
         )
     if fn0 == 0.0:
         zero = [tensor.zeros(f.params, f.windows) for _ in range(f.d)]
-        return zero, SolveReport(0.0, 0.0, 0.0, {t: 0.0 for t in opts.t_list}, 0)
+        return zero, SolveReport(0.0, 0.0, 0.0, {t: 0.0 for t in opts.t_list})
     raw = _solve_top_rec(f.params, f.windows, f.coeffs[None], opts, fn0)
     g_list = [TensorCoeffs(f.params, f.windows, arr[0]) for arr in raw]
     report = verify_solution(f, g_list, opts.t_list)
@@ -428,11 +422,9 @@ def verify_solution(
     residual is taken over the whole hull of the windows of f and the U_i g_i
     (f's windows widened by one on each axis, for g_i on f's windows);
     truncated kernel-consistent systems are exactly solvable, so no edge
-    region is excluded.  The hull comes from the windows (U_i widens axis i
-    by one), and -f, U_0 g_0, ..., U_{d-1} g_{d-1} are added into one array
-    on it in that order, each U_i g_i made only to be added, so zero-filling
-    the g_i into larger windows with the same hull leaves the residual
-    bitwise unchanged.
+    region is excluded.  `tensor.u_sum` adds -f, U_0 g_0, ..., U_{d-1} g_{d-1}
+    into one array on that hull in that order, so zero-filling the g_i into
+    larger windows with the same hull leaves the residual bitwise unchanged.
     """
     if len(g_list) != f.d:
         raise ValueError(f"expected {f.d} primitives, got {len(g_list)}")
@@ -443,21 +435,14 @@ def verify_solution(
     fn0, *denoms = sobolev_norm_array(f.params.factors, f.windows, f.coeffs, orders).tolist()
     g_norms = [sobolev_norm_array(g.params.factors, g.windows, g.coeffs, tuple(t_list)).tolist()
                for g in g_list]
-    u_windows = [g.windows[:i] + (expand_window(p, g.windows[i]),) + g.windows[i + 1 :]
-                 for i, (p, g) in enumerate(zip(f.params.factors, g_list))]
-    wins = tensor.hull(f.windows, *u_windows)
-    resid = np.zeros(tuple(len(w) for w in wins), dtype=np.complex128)
-    view = resid[tensor.sub_slices(f.windows, wins)]
-    np.subtract(view, f.coeffs, out=view)
-    for i, g in enumerate(g_list):
-        # one U_i g_i at a time, dropped before the next is made
-        view = resid[tensor.sub_slices(u_windows[i], wins)]
-        np.add(view, tensor.apply_U_factor(g, i).coeffs, out=view)
+    terms = [(-1, f.coeffs, f.windows, None)]
+    terms += [(1, g.coeffs, g.windows, i - f.d) for i, g in enumerate(g_list)]
+    resid, wins = tensor.u_sum(f.params.factors, terms)
     residual = sobolev_norm_array(f.params.factors, wins, resid, 0.0)
     kernel_defect = max(tensor.kernel_defects(f).values(), default=0.0)
     ratios = {t: max(nums) / denom if denom > 0 else 0.0
               for t, denom, nums in zip(t_list, denoms, zip(*g_norms))}
-    return SolveReport(float(residual), fn0, kernel_defect, ratios, 0)
+    return SolveReport(float(residual), fn0, kernel_defect, ratios)
 
 
 # --- obstruction probes ------------------------------------------------------
@@ -481,7 +466,8 @@ def least_squares_probe(f: TensorCoeffs, opts: SolveOptions = SolveOptions()) ->
     out = []
     for pad in (opts.pad, 2 * opts.pad):
         win_in = expand_window(param, window, pad)
-        _, resid = _lstsq_rows(param, win_in, f.coeffs[None, :], window)
+        rhs = tensor.embed_array(f.coeffs, (window,), (win_in,))
+        _, resid = _lstsq_rows(param, win_in, rhs[None, :])
         out.append(float(resid[0]))
     return ObstructionProbe(out[0], out[1], norm0(f))
 

@@ -12,8 +12,8 @@ projector live here.
 The per-axis action is `repn.apply_u_axis_array`, imported here by name; it
 is the package's only copy of the generator stencil.  The norm is
 `repn.sobolev_norm_array` on the tensor's factors.  `hull` is the one
-window-hull helper: `add` embeds both arrays into `hull(...)` first, and
-`solver.verify_solution` adds each block in place into one hull array.
+window-hull helper, and `u_sum` builds every signed sum of blocks and
+per-axis actions: sum_i U_i g_i - f, d w, d eta - w, theta, a coboundary.
 The product functionals and the kernel projector work on arrays whose
 leading axes are a batch (`product_dist_array`, `kernel_project_array`);
 the `TensorCoeffs` functions are a batch of one.
@@ -30,7 +30,7 @@ from . import distributions as dist
 from . import repn
 from .distributions import Sign
 from .errors import InvalidIndex, ParamMismatch
-from .params import IndexWindow, MultiParam, SeriesParam, check_window
+from .params import IndexWindow, MultiParam, SeriesParam, check_window, expand_window
 from .repn import apply_u_axis_array
 
 
@@ -124,6 +124,40 @@ def sub_slices(
 ) -> tuple[slice, ...]:
     """Index of the block `windows` inside an array on `outer` (which covers it)."""
     return tuple(slice(w.lo - o.lo, w.hi - o.lo + 1) for w, o in zip(windows, outer))
+
+
+def u_sum(
+    factors: tuple[SeriesParam, ...],
+    terms: list[tuple[int, np.ndarray, tuple[IndexWindow, ...], int | None]],
+    windows: tuple[IndexWindow, ...] | None = None,
+) -> tuple[np.ndarray, tuple[IndexWindow, ...]]:
+    """Signed sum of blocks and per-axis generator actions: (array, windows).
+
+    A term (sign, arr, arr_windows, axis) is sign * arr, or sign * U_axis arr
+    for a negative axis; arr_windows index arr's trailing axes, and leading
+    axes are a batch.  The sum is on `windows`, which cover every term, or on
+    the terms' hull, where U_axis widens `axis` by one.  Terms are added or
+    subtracted in place in the order given, each U-term made only then; the
+    sum is allocated once the first term is made.
+    """
+    placed = []
+    for _, _, wins, axis in terms:
+        if axis is not None:
+            wins = list(wins)
+            wins[axis] = expand_window(factors[axis], wins[axis])
+        placed.append(tuple(wins))
+    if windows is None:
+        windows = hull(*placed)
+    lead = terms[0][1].shape[: terms[0][1].ndim - len(windows)]
+    out = None
+    for (sign, arr, wins, axis), at in zip(terms, placed):
+        if axis is not None:
+            arr, _ = apply_u_axis_array(arr, axis, factors[axis], wins[axis])
+        if out is None:  # a first U-term's stencil workspace is freed by now
+            out = np.zeros(lead + tuple(len(w) for w in windows), dtype=np.complex128)
+        view = out[(...,) + sub_slices(at, windows)]
+        (np.add if sign > 0 else np.subtract)(view, arr, out=view)
+    return out, windows
 
 
 def add(a: TensorCoeffs, b: TensorCoeffs, scale: complex = 1.0) -> TensorCoeffs:

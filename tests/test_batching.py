@@ -31,6 +31,7 @@ from paracoh.generate import (
     random_form,
     random_kernel_tensor,
 )
+from paracoh.params import IndexWindow
 from paracoh.solver import _slice_kernel_guard, _solve_rows_refined, split
 from paracoh.tensor import TensorCoeffs, basis_vector, norm0, tensor_sobolev_norm
 
@@ -188,6 +189,37 @@ def test_primitive_matches_per_slice_reference(factors, degree, k, rng):
     for axes, arr in want.items():
         assert np.any(arr)
         _assert_same(arr, want_wins, got[axes][0], got_wins)
+
+
+def test_primitive_windows_with_the_fallback_inside(monkeypatch):
+    # a degree-1 level inside a degree-2 solve falls back to the joint solve
+    # on padded windows; the assembly on zeta's windows, with no hull, keeps
+    # the reference's windows and bits
+    from paracoh import forms as forms_mod
+    from paracoh.forms import LeafwiseForm
+
+    joint_calls = []
+
+    def joint(*args, **kwargs):
+        joint_calls.append(args[1])
+        return _joint_degree1_solve(*args, **kwargs)
+
+    monkeypatch.setattr(forms_mod, "_joint_degree1_solve", joint)
+    mp = MultiParam((_P, _C, _D))
+    w, _ = random_closed_form(mp, tuple(default_window(p, 4) for p in mp.factors), 2,
+                              np.random.default_rng(1))
+    comps = {axes: arr.copy() for axes, arr in w.components.items()}
+    comps[(0, 1)][tuple(n // 2 for n in comps[(0, 1)].shape)] += 1e-7 * form_norm0(w)
+    w = LeafwiseForm(2, mp, w.windows, comps)
+    opts, scale = SolveOptions(), form_norm0(w)
+    want, want_wins = _ref_primitive_rec(mp, w.windows, dict(w.components), 2, opts, scale)
+    batch = {axes: arr[None] for axes, arr in w.components.items()}
+    got, got_wins = _primitive_rec(mp, w.windows, batch, 2, opts, scale)
+    assert len(joint_calls) == 1
+    assert got_wins == want_wins == (IndexWindow(-6, 6), IndexWindow(-13, 13), IndexWindow(1, 14))
+    assert set(got) == set(want)
+    for axes, arr in want.items():
+        assert got[axes][0].tobytes() == arr.tobytes()
 
 
 @pytest.mark.parametrize(

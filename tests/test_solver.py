@@ -46,6 +46,7 @@ from paracoh.solver import (
 from paracoh.tensor import (
     TensorCoeffs,
     basis_vector,
+    embed_array,
     norm0,
     phi_tensor,
     slice_axis,
@@ -265,7 +266,6 @@ def test_vanishing_amplitude_comes_back_on_f_windows(rng):
     assert not np.any(g0.coeffs)
     assert g0.windows == g1.windows == (w0, w1) == (IndexWindow(-8, 8), w1)
     assert rep.residual_interior <= 1e-15 * rep.f_norm0
-    assert rep.refinements_used == 0
 
 
 def test_solve_top_obstruction():
@@ -538,7 +538,7 @@ def test_marginal_input_accepted_on_its_own_window():
     # between paddings would reject it
     f = _marginal_input(SeriesParam.principal(1.0), 8, 0.99, np.random.default_rng(5))
     (g,), rep = solve_top(f)
-    assert g.windows == f.windows and rep.refinements_used == 0
+    assert g.windows == f.windows
     assert rep.residual_interior / rep.f_norm0 == pytest.approx(5.7e-9, rel=0.01)
 
 
@@ -588,7 +588,7 @@ def test_lstsq_rows_matches_dense_lstsq(p, batch, rng):
     obstructed = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     obstructed[0] = basis_vector(p, p.lowest or 0, win).coeffs
     for rhs, is_obstructed in ((consistent, False), (obstructed, True)):
-        sol, resid = _lstsq_rows(p, win_in, rhs, win)
+        sol, resid = _lstsq_rows(p, win_in, embed_array(rhs, (win,), (win_in,)))
         f_hat = np.zeros((batch, len(win_out)), dtype=np.complex128)
         f_hat[:, off : off + len(win)] = rhs
         f_hat *= w_out
@@ -641,7 +641,7 @@ def test_lstsq_rows_keeps_the_reference_bits(p, win, rows, pad, rng):
     # `least_squares_probe` does
     win_in = expand_window(p, win, pad)
     rhs = rng.standard_normal((rows, len(win))) + 1j * rng.standard_normal((rows, len(win)))
-    sol, resid = _lstsq_rows(p, win_in, rhs, win)
+    sol, resid = _lstsq_rows(p, win_in, embed_array(rhs, (win,), (win_in,)))
     ref_sol, ref_resid = _lstsq_rows_reference(p, win_in, rhs, win)
     assert sol.tobytes() == ref_sol.tobytes()
     assert resid.tobytes() == ref_resid.tobytes()
@@ -811,10 +811,10 @@ def test_band_factor_backends_agree_bitwise(p, k, rng):
     rhs = rng.standard_normal((200, len(win))) + 1j * rng.standard_normal((200, len(win)))
     _band_factor.cache_clear()
     fac = _band_factor(p, win.lo, win.hi)
-    sol, res = _lstsq_rows(p, win, rhs, win)
+    sol, res = _lstsq_rows(p, win, rhs)
     with _scipy_backend():
         fac_sp = _band_factor(p, win.lo, win.hi)
-        sol_sp, res_sp = _lstsq_rows(p, win, rhs, win)
+        sol_sp, res_sp = _lstsq_rows(p, win, rhs)
     assert np.array_equal(fac.lu, fac_sp.lu) and np.array_equal(fac.piv, fac_sp.piv + 1)
     assert np.array_equal(sol, sol_sp) and np.array_equal(res, res_sp)
 
