@@ -14,7 +14,10 @@ Every gated check row comes from `_gate_row`.
 The random-sample checks carry a leading batch axis: the projection
 inequalities check all samples of a product at once (`_projection_excess`),
 and the regularity sweep draws, projects and checks its samples in batches
-(`regularity_rows`).  Each sample gets the numbers it got alone.
+(`regularity_rows`).  Each sample gets the numbers it got alone.  The sweep
+holds one batch and a fixed scratch: the kernels it runs work through the
+batch in whole-item chunks (`tensor.item_chunks`) or item by item, and a
+batch is dropped before the next is drawn.
 """
 
 from __future__ import annotations
@@ -466,15 +469,19 @@ def phi_blowup_sweep(t: float = 1.0) -> tuple[list[dict], float]:
     return rows, slope
 
 
-# entries of one regularity sample batch: the 50 d=2 samples at K=24 (2401
-# entries each) are one batch; d=3 samples on three 49-wide windows
-# (117,649 entries each) go two at a time, so a batch stays near 4 MB
+# entries of one regularity sample batch, which sizes the input: the 50 d=2
+# samples at K=24 (2401 entries each) are one 1.83 MB batch, and d=3 samples
+# on 49 x 49 x 25 windows (60,025 entries each) go four at a time, so a batch
+# stays near 4 MB.  The draw, the projection and the split work through it
+# in chunks or item by item, so a sweep's working set is about twice the
+# batch, where batch-sized temporaries made it 3.5 times the batch
 REGULARITY_BATCH_ENTRIES = 1 << 18
 
 
 def regularity_rows(cfg: ExperimentConfig, count: int = 50) -> list[dict]:
     """Worst split-regularity ratio over `count` random kernel tensors per
-    (component, t), drawn and checked as batches."""
+    (component, t), drawn and checked as batches; each batch is dropped
+    before the next is drawn."""
     rows = []
     for idx, comp in enumerate(cfg.components):
         params = cfg.multi_param(comp)
@@ -490,6 +497,7 @@ def regularity_rows(cfg: ExperimentConfig, count: int = 50) -> list[dict]:
                 arr = generate.random_coeffs(params, windows, rng, min(per_batch, count - start))
                 tensor.kernel_project_array(params, windows, arr)
                 ratios = solver.regularity_array(params.factors, windows, arr, t)
+                del arr  # before the next batch is drawn
                 worst = max(worst, float(np.max(ratios)))
             rows.append({"param": f"{comp.label}, t={t}", "value": worst,
                          "bound": None, "ratio": None})

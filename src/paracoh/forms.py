@@ -52,6 +52,7 @@ from .solver import (
     SolveReport,
     _solve_top_rec,
     sigma_schedule,
+    sobolev_ratios,
 )
 from .tensor import TensorCoeffs
 
@@ -442,7 +443,8 @@ def solve_primitive(
 
     Raises NotClosed on the precondition, ThetaNotVanishing when the
     degenerate branch's invariant remainder survives, NoConvergence when
-    the assembled residual misses the tolerance.
+    the assembled residual misses the tolerance or a Sobolev norm of a
+    ratio is not finite.
     """
     n, d = w.degree, w.d
     if d < 2 or not 1 <= n <= d - 1:
@@ -466,6 +468,4 @@ def solve_primitive(
             f"primitive residual {residual:.3e} above {opts.tol_residual:.1e} * ||w||_0"
         )
     nums = form_sobolev_norm(eta, tuple(opts.t_list)).tolist()
-    ratios = {t: num / denom if denom > 0 else 0.0
-              for t, num, denom in zip(opts.t_list, nums, denoms)}
-    return eta, SolveReport(residual, wn0, defect, ratios)
+    return eta, SolveReport(residual, wn0, defect, sobolev_ratios(opts.t_list, nums, denoms))

@@ -6,9 +6,11 @@ truncation edges so the generator action cannot spill outside the window.
 The lowest-weight edge of a discrete factor is a true boundary of the index
 set, not a truncation cut, so no margin is applied there.
 
-`random_coeffs` returns a batch of coefficient arrays, batch axis first,
-from one normal draw; `random_tensor` is a batch of one, and the batch holds
-the items that as many successive single draws give.
+`random_coeffs` returns a batch of coefficient arrays, batch axis first; it
+draws whole items in chunks (`tensor.item_chunks`), which continue one
+normal stream, so `random_tensor` is a batch of one, the batch holds the
+items that as many successive single draws give, and a draw holds the batch
+and one chunk of normals.
 """
 
 from __future__ import annotations
@@ -60,20 +62,27 @@ def random_coeffs(
 ) -> np.ndarray:
     """`count` random coefficient arrays on `windows`, batch axis first.
 
-    One normal draw of shape (count, 2) + window shape gives item b its real
-    part [b, 0] and imaginary part [b, 1]: the stream, and so every item,
-    is that of `count` calls of `random_tensor`.
+    Normal draws of shape (items, 2) + window shape, one per chunk of whole
+    items, give item b its real part [b, 0] and imaginary part [b, 1]: the
+    stream, and so every item, is that of `count` calls of `random_tensor`.
     """
-    qgrid, _ = repn.weight_grids(params.factors, windows)
-    z = rng.standard_normal((count, 2) + qgrid.shape)
-    coeffs = 1j * z[:, 1]
-    coeffs += z[:, 0]
-    coeffs /= np.sqrt(2.0)
-    coeffs *= qgrid ** (-decay)
+    damp = repn.weight_grids(params.factors, windows)[0] ** (-decay)
+    masks = []
     for j, (p, w) in enumerate(zip(params.factors, windows)):
         shape = [1] * params.d
         shape[j] = len(w)
-        coeffs *= _edge_mask(p, w, margin).reshape(shape)
+        masks.append(_edge_mask(p, w, margin).reshape(shape))
+    coeffs = np.empty((count,) + damp.shape, dtype=np.complex128)
+    for chunk in tensor.item_chunks(count, damp.size):
+        z = rng.standard_normal((chunk.stop - chunk.start, 2) + damp.shape)
+        part = coeffs[chunk]
+        np.multiply(1j, z[:, 1], out=part)
+        part += z[:, 0]
+        part /= np.sqrt(2.0)
+        part *= damp
+        for mask in masks:
+            part *= mask
+        del z  # before the next chunk is drawn
     return coeffs
 
 

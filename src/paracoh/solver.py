@@ -31,14 +31,19 @@ g_i comes back on f's windows, and every row whose residual misses
 tol_residual * scale raises NoConvergence.  `verify_solution` sums the
 residual with `tensor.u_sum` on one hull, f's windows widened by one on each
 axis.  Every norm goes through `repn.sobolev_norm_array`: the verification
-norms f once for ||f||_0 and every sigma_d(t), and each g_i once for every t.
+norms f once for ||f||_0 and every sigma_d(t), and each g_i once for every t;
+`solve_top` hands it the ||f||_0 and the kernel defect of its guard, so f
+is normed at the sigma_d(t) only.  A Sobolev ratio whose numerator or
+denominator is not finite raises NoConvergence (`sobolev_ratios`).
 
 Memory: a top-degree solve holds f, its d outputs and one level's workspace
 at a time.  `_lstsq_rows` allocates only the zgbtrs right-hand sides and the
 solutions, and forms the residual in the former's buffer; a level drops
 f_otimes, the amplitudes and their batch once its rows exist, and makes its
 product buffer only after the sub-recursion returns; `tensor.u_sum` makes
-each U_i g_i only to add it into the hull.
+each U_i g_i only to add it into the hull.  The split writes F_+ phi_+ into
+f_otimes and adds F_- phi_- from one scratch of the same size, and
+`regularity_array` splits and norms a chunk of items at a time.
 """
 
 from __future__ import annotations
@@ -272,14 +277,18 @@ def split(f: TensorCoeffs) -> SplitParts:
 def _split_last(
     p_last: SeriesParam, w_last: IndexWindow, arr: np.ndarray
 ) -> tuple[dict[Sign, np.ndarray], np.ndarray]:
-    """Amplitudes F_± over the last axis of arr (any leading axes) and f_otimes."""
-    amplitudes = {}
-    f_ot = np.zeros(arr.shape, dtype=np.complex128)
-    for s in (Sign.PLUS, Sign.MINUS):
-        dv = dist_values_array(p_last, s, w_last)
-        amp = np.tensordot(arr, dv, axes=([arr.ndim - 1], [0]))
-        amplitudes[s] = amp
-        f_ot += amp[..., None] * phi(p_last, s, w_last)
+    """Amplitudes F_± over the last axis of arr (any leading axes) and f_otimes.
+
+    F_+ phi_+ is written into f_otimes and F_- phi_- added from one
+    arr-sized scratch, so the split holds two arrays the size of arr.
+    """
+    amplitudes = {
+        s: np.tensordot(arr, dist_values_array(p_last, s, w_last), axes=([arr.ndim - 1], [0]))
+        for s in (Sign.PLUS, Sign.MINUS)
+    }
+    f_ot = np.multiply(amplitudes[Sign.PLUS][..., None], phi(p_last, Sign.PLUS, w_last))
+    f_ot += 0.0  # -0.0 becomes +0.0, as in a sum begun at 0.0: f_otimes keeps its bytes
+    f_ot += amplitudes[Sign.MINUS][..., None] * phi(p_last, Sign.MINUS, w_last)
     return amplitudes, f_ot
 
 
@@ -292,16 +301,25 @@ def regularity_array(
     """Diagnostic ratios ||f_otimes||_t / ||f||_{2t+SPLIT_C}, one per item of arr.
 
     The windows index the trailing axes; leading axes are a batch.  An
-    item with ||f|| = 0 has ratio 0.
+    item with ||f|| = 0 has ratio 0.  The items are split and normed a
+    chunk at a time (`tensor.item_chunks`), so f_otimes exists for one
+    chunk only.
     """
     if len(windows) < 2:
         raise ValueError("needs d >= 2")
     if t <= 0:
         raise ValueError(f"needs t > 0, got {t}")
-    denom = sobolev_norm_array(factors, windows, arr, 2.0 * t + SPLIT_C)
-    _, f_ot = _split_last(factors[-1], windows[-1], arr)
-    num = sobolev_norm_array(factors, windows, f_ot, t)
-    return np.divide(num, denom, out=np.zeros_like(num), where=denom != 0.0)
+    lead = arr.shape[: arr.ndim - len(windows)]
+    items = arr.reshape((-1,) + arr.shape[len(lead) :])
+    ratios = np.zeros(len(items))
+    for chunk in tensor.item_chunks(len(items), int(np.prod(items.shape[1:]))):
+        part = items[chunk]
+        denom = sobolev_norm_array(factors, windows, part, 2.0 * t + SPLIT_C)
+        _, f_ot = _split_last(factors[-1], windows[-1], part)
+        num = sobolev_norm_array(factors, windows, f_ot, t)
+        del f_ot
+        np.divide(num, denom, out=ratios[chunk], where=denom != 0.0)
+    return ratios.reshape(lead)
 
 
 def regularity_check(f: TensorCoeffs, t: float) -> float:
@@ -401,7 +419,7 @@ def solve_top(
         return zero, SolveReport(0.0, 0.0, 0.0, {t: 0.0 for t in opts.t_list})
     raw = _solve_top_rec(f.params, f.windows, f.coeffs[None], opts, fn0)
     g_list = [TensorCoeffs(f.params, f.windows, arr[0]) for arr in raw]
-    report = verify_solution(f, g_list, opts.t_list)
+    report = verify_solution(f, g_list, opts.t_list, known=(fn0, worst))
     if report.residual_interior > opts.tol_residual * fn0:
         raise NoConvergence(
             f"top-degree residual {report.residual_interior:.3e} above "
@@ -414,6 +432,8 @@ def verify_solution(
     f: TensorCoeffs,
     g_list: list[TensorCoeffs],
     t_list: tuple[float, ...] = (1.0, 2.0),
+    *,
+    known: tuple[float, float] | None = None,
 ) -> SolveReport:
     """Residual of sum_i U_i g_i - f at t=0, kernel defect of f, and the
     ratios ||g_i||_t / ||f||_{sigma_d(t)}.
@@ -425,24 +445,54 @@ def verify_solution(
     region is excluded.  `tensor.u_sum` adds -f, U_0 g_0, ..., U_{d-1} g_{d-1}
     into one array on that hull in that order, so zero-filling the g_i into
     larger windows with the same hull leaves the residual bitwise unchanged.
+    `known` is (||f||_0, kernel defect of f) when the caller has them, as
+    `solve_top` has from its guard; otherwise f is normed at order 0 in the
+    pass that takes every sigma_d(t), and its functionals are evaluated.
+    Raises NoConvergence if a Sobolev norm of a ratio is not finite.
     """
     if len(g_list) != f.d:
         raise ValueError(f"expected {f.d} primitives, got {len(g_list)}")
     for i, g in enumerate(g_list):
         if g.params != f.params:
             raise ParamMismatch(f"g_{i} is over {g.params.label()}, f over {f.params.label()}")
-    orders = (0.0,) + tuple(sigma_schedule(t, f.d) for t in t_list)
-    fn0, *denoms = sobolev_norm_array(f.params.factors, f.windows, f.coeffs, orders).tolist()
-    g_norms = [sobolev_norm_array(g.params.factors, g.windows, g.coeffs, tuple(t_list)).tolist()
+    orders = tuple(sigma_schedule(t, f.d) for t in t_list)
+    if known is None:
+        fn0, *denoms = sobolev_norm_array(
+            f.params.factors, f.windows, f.coeffs, (0.0,) + orders
+        ).tolist()
+        kernel_defect = max(tensor.kernel_defects(f).values(), default=0.0)
+    else:
+        fn0, kernel_defect = known
+        denoms = sobolev_norm_array(f.params.factors, f.windows, f.coeffs, orders).tolist()
+    g_norms = [sobolev_norm_array(g.params.factors, g.windows, g.coeffs, tuple(t_list))
                for g in g_list]
     terms = [(-1, f.coeffs, f.windows, None)]
     terms += [(1, g.coeffs, g.windows, i - f.d) for i, g in enumerate(g_list)]
     resid, wins = tensor.u_sum(f.params.factors, terms)
     residual = sobolev_norm_array(f.params.factors, wins, resid, 0.0)
-    kernel_defect = max(tensor.kernel_defects(f).values(), default=0.0)
-    ratios = {t: max(nums) / denom if denom > 0 else 0.0
-              for t, denom, nums in zip(t_list, denoms, zip(*g_norms))}
-    return SolveReport(float(residual), fn0, kernel_defect, ratios)
+    # np.max, unlike max, keeps a NaN norm of any g_i
+    nums = np.max(g_norms, axis=0).tolist()
+    return SolveReport(float(residual), fn0, kernel_defect, sobolev_ratios(t_list, nums, denoms))
+
+
+def sobolev_ratios(
+    t_list: tuple[float, ...], nums: list[float], denoms: list[float]
+) -> dict[float, float]:
+    """{t: num / denom}, 0 where denom is 0 (a zero input).
+
+    Raises NoConvergence naming t when the numerator or the denominator is
+    not finite: the weights (1 + Q)^sigma left the floating-point range, and
+    a ratio formed from them would read 0 or NaN.
+    """
+    ratios = {}
+    for t, num, denom in zip(t_list, nums, denoms):
+        if not (np.isfinite(num) and np.isfinite(denom)):
+            raise NoConvergence(
+                f"Sobolev ratio at t={t}: numerator {num:.3e}, denominator {denom:.3e}; "
+                "a norm left the floating-point range"
+            )
+        ratios[t] = num / denom if denom > 0 else 0.0
+    return ratios
 
 
 # --- obstruction probes ------------------------------------------------------

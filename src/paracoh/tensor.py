@@ -16,7 +16,11 @@ window-hull helper, and `u_sum` builds every signed sum of blocks and
 per-axis actions: sum_i U_i g_i - f, d w, d eta - w, theta, a coboundary.
 The product functionals and the kernel projector work on arrays whose
 leading axes are a batch (`product_dist_array`, `kernel_project_array`);
-the `TensorCoeffs` functions are a batch of one.
+the `TensorCoeffs` functions are a batch of one.  The projector subtracts
+c Phi item by item through one item-sized scratch, and `item_chunks` cuts a
+batch into the whole-item chunks that `generate.random_coeffs` and
+`solver.regularity_array` work through, so a check sweep holds its batch
+and a fixed scratch.
 """
 
 from __future__ import annotations
@@ -160,6 +164,18 @@ def u_sum(
     return out, windows
 
 
+# entries a batched kernel works through at once (512 KiB of complex
+# coefficients): whole items, at least one
+CHUNK_ENTRIES = 1 << 15
+
+
+def item_chunks(count: int, item_entries: int) -> list[slice]:
+    """Slices of a batch of `count` items of `item_entries` entries each:
+    whole items, CHUNK_ENTRIES entries together, or one item if it is larger."""
+    step = max(1, CHUNK_ENTRIES // max(1, item_entries))
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
+
 def add(a: TensorCoeffs, b: TensorCoeffs, scale: complex = 1.0) -> TensorCoeffs:
     """a + scale*b on the union windows."""
     if a.params != b.params:
@@ -295,13 +311,20 @@ def kernel_project_array(
 
     Leading axes of `arr` are a batch.  Every functional is evaluated on
     the input before the first subtraction, so each item loses the
-    components it had.
+    components it had.  c Phi is formed in one item-sized scratch and
+    subtracted item by item; an item whose c is 0 is left as it is.
     """
     tags = valid_tags(params)
     coeffs = [product_dist_array(params.factors, windows, arr, tag) for tag in tags]
+    lead = arr.shape[: arr.ndim - len(windows)]
+    term = np.empty(arr.shape[len(lead) :], dtype=np.complex128)
     for tag, c in zip(tags, coeffs):
-        c = c.reshape(c.shape + (1,) * len(windows))
-        np.subtract(arr, c * phi_tensor(params, tag, windows).coeffs, out=arr, where=c != 0)
+        phi_t = phi_tensor(params, tag, windows).coeffs
+        for idx in np.ndindex(lead):
+            if c[idx] != 0:
+                item = arr[idx]  # a view, also of an unbatched arr
+                np.subtract(item, np.multiply(c[idx], phi_t, out=term), out=item)
+        del phi_t  # before the next tag's is built
     return arr
 
 

@@ -8,7 +8,8 @@ complementary(0.9) x discrete(1) x principal(3) with s = 1, 1.5, 2, 2.5
     solve-top          d=1 at K=32 and K=512, d=2 at K=32 and K=512,
                        d=3 at K=32, the d=4 slice at K=8
     verify-invariants  d=2
-    sweep-bounds       d=2
+    sweep-bounds       d=2, and d=3, whose regularity table draws its 50
+                       samples in batches of four
     solve-form         --degree 1 at d=2 (K=32) and d=3 (K=16),
                        --degree 2 at d=3 (K=32), --degree 2 and --degree 3
                        on the d=4 slice at K=8
@@ -84,6 +85,7 @@ RUNS = [
     ("solve-top-d4-k8", d4_slice, 8, report(experiments.cmd_solve_top)),
     ("verify-invariants", default(2), 32, report(experiments.cmd_verify_invariants)),
     ("sweep-bounds", default(2), 32, report(experiments.cmd_sweep_bounds)),
+    ("sweep-bounds-d3", default(3), 32, report(experiments.cmd_sweep_bounds)),
     ("solve-form-deg1-d2", default(2), 32, report(lambda cfg: experiments.cmd_solve_form(cfg, 1))),
     ("solve-form-deg1-d3-k16", default(3), 16,
      report(lambda cfg: experiments.cmd_solve_form(cfg, 1))),
