@@ -2,9 +2,13 @@
 
 Each command consumes an ExperimentConfig and returns a Report holding
 per-component rows and sweep tables; every table row carries its parameter
-point.  Components and grid points run through the deterministic parallel
-map, with per-task RNG streams derived from (seed, index), so identical
-config+seed yields an identical report regardless of scheduling.
+point.  Every random input comes from an RNG stream derived from (seed,
+index), so identical config+seed yields an identical report regardless of
+scheduling.  A solve command's components run through
+`parallel.gated_map`, on worker threads only when one component's default
+window box, times its C(d, degree) form components, holds at least
+`parallel.MIN_TASK_ENTRIES` coefficients, and otherwise in order on the
+calling thread; the grid checks and sweeps are plain loops.
 
 `_component_input` is the one source of a component's input: the kernel
 tensor or closed form drawn from (seed, index), or a document over the
@@ -41,7 +45,7 @@ from .distributions import (
 )
 from .errors import ConfigError, TailNotConverged
 from .params import IndexWindow, Kind, MultiParam, SeriesParam, default_window
-from .parallel import parallel_map
+from .parallel import gated_map
 from .repn import apply_u_axis_array, basis_norm_sq_array, u_matrix
 
 
@@ -284,7 +288,7 @@ def cmd_verify_invariants(cfg: ExperimentConfig) -> Report:
     grid = verify_grid()
     tables = {}
     for name, check, bound in GRID_CHECKS:
-        tables[name] = parallel_map(lambda p: _gate_row(p.label(), check(p), bound), grid)
+        tables[name] = [_gate_row(p.label(), check(p), bound) for p in grid]
     tables["rational"] = rational_identity_rows()
     tables["projection"] = projection_inequality_rows(cfg.seed)
     tables["dd_zero"] = dd_zero_rows(cfg.seed)
@@ -322,10 +326,12 @@ def _component_input(cfg: ExperimentConfig, idx: int, comp: ComponentConfig,
 
 
 def _solve_components(cfg: ExperimentConfig, input_docs, degree, solve, row) -> list[dict]:
-    """row(comp, input, report, fn0) for every component, through the parallel
+    """row(comp, input, report, fn0) for every component, through the gated
     map: each input (its document, or the path of one, in `input_docs`, or
     drawn when None) solved by `solve`; fn0 is the input's norm, or 1 for a
-    zero input.  A task loads its own input, so a worker holds one document."""
+    zero input.  A task loads its own input, so a worker holds one document.
+    A task's size is its component's default window box times the C(d,
+    degree) components of a form; a document's own windows do not count."""
     n = len(cfg.components)
     if input_docs is not None and len(input_docs) != n:
         raise ConfigError(f"{len(input_docs)} inputs for {n} components")
@@ -337,7 +343,10 @@ def _solve_components(cfg: ExperimentConfig, input_docs, degree, solve, row) -> 
         _, rep = solve(obj, cfg.solve_options())
         return row(comp, obj, rep, rep.f_norm0 if rep.f_norm0 > 0 else 1.0)
 
-    return parallel_map(task, list(zip(range(n), cfg.components, docs)))
+    box = max(math.prod(len(default_window(p, cfg.k_per_axis)) for p in comp.factors)
+              for comp in cfg.components)
+    entries = box * math.comb(cfg.d, cfg.d if degree is None else degree)
+    return gated_map(task, list(zip(range(n), cfg.components, docs)), entries)
 
 
 def _solve_report(cfg: ExperimentConfig, command: str, rows: list[dict], **metadata) -> Report:
@@ -402,20 +411,12 @@ def cmd_solve_form(cfg: ExperimentConfig, degree: int, input_docs=None) -> Repor
 
 def principal_order_sweep(t: float = 2.0, count: int = 16) -> tuple[list[dict], float]:
     """log dist_order_sum vs log(1+mu) over principal nu = i s, s in [1, 100]."""
-    svals = np.geomspace(1.0, 100.0, count)
-
-    def task(s):
+    rows = []
+    for s in np.geomspace(1.0, 100.0, count):
         p = SeriesParam.principal(float(s))
         r = dist_order_sum(p, t)
-        return {
-            "param": float(s),
-            "value": r.value,
-            "bound": r.comparison,
-            "ratio": r.ratio,
-            "mu": p.mu,
-        }
-
-    rows = parallel_map(task, list(svals))
+        rows.append({"param": float(s), "value": r.value, "bound": r.comparison,
+                     "ratio": r.ratio, "mu": p.mu})
     xs = np.log([1.0 + r["mu"] for r in rows])
     ys = np.log([r["value"] for r in rows])
     slope = float(np.polyfit(xs, ys, 1)[0])

@@ -147,9 +147,12 @@ def sobolev_norm_array(
     norms = np.empty(mag2.shape[: mag2.ndim - len(windows)] + (len(orders),))
     term = mag2 if len(orders) == 1 else np.empty_like(mag2)
     for i, s in enumerate(orders):
-        np.multiply(mag2, w2 if s == 0.0 else qgrid**s, out=term)
-        if s != 0.0:
-            term *= w2
+        # a weight past the float range gives inf, and inf * 0 nan, silently:
+        # the callers turn a norm that is not finite into a typed failure
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(mag2, w2 if s == 0.0 else qgrid**s, out=term)
+            if s != 0.0:
+                term *= w2
         norms[..., i] = np.sqrt(np.sum(term, axis=axes))
     out = norms if isinstance(t, tuple) else norms[..., 0]
     return float(out) if out.ndim == 0 else out

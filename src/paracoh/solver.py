@@ -303,7 +303,8 @@ def regularity_array(
     The windows index the trailing axes; leading axes are a batch.  An
     item with ||f|| = 0 has ratio 0.  The items are split and normed a
     chunk at a time (`tensor.item_chunks`), so f_otimes exists for one
-    chunk only.
+    chunk only.  Raises NoConvergence naming t when a norm is not finite,
+    as `sobolev_ratios` does.
     """
     if len(windows) < 2:
         raise ValueError("needs d >= 2")
@@ -318,6 +319,8 @@ def regularity_array(
         _, f_ot = _split_last(factors[-1], windows[-1], part)
         num = sobolev_norm_array(factors, windows, f_ot, t)
         del f_ot
+        if not (np.isfinite(num).all() and np.isfinite(denom).all()):
+            raise NoConvergence(f"regularity ratio at t={t}: a norm left the floating-point range")
         np.divide(num, denom, out=ratios[chunk], where=denom != 0.0)
     return ratios.reshape(lead)
 

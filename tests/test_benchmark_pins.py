@@ -14,7 +14,7 @@ import inspect
 import os
 import sys
 
-from paracoh import SolveOptions, solver
+from paracoh import SolveOptions, parallel, solver
 
 BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "benchmarks")
 
@@ -42,3 +42,10 @@ def test_lstsq_rows_takes_param_and_window_first():
 def test_pinned_keys_are_solve_options():
     fields = {f.name for f in dataclasses.fields(SolveOptions)}
     assert set(_load("workloads").PINNED) <= fields
+
+
+def test_pool_keeps_the_call_shapes_the_tracer_wraps():
+    # layertrace._wrap_map swaps parallel_map for a (fn, items) wrapper and
+    # calls thread_budget bare; a third argument would fail every traced run
+    assert list(inspect.signature(parallel.parallel_map).parameters) == ["fn", "items"]
+    inspect.signature(parallel.thread_budget).bind()  # TypeError on a required parameter

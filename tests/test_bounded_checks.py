@@ -11,6 +11,7 @@ The Sobolev ratios of the solvers are either finite or a typed failure.
 
 import json
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -245,22 +246,37 @@ def _d4_k10_config():
     return ExperimentConfig(components=(ComponentConfig("c0", _D4),), seed=0, k_per_axis=10)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_overflowed_primitive_ratio_is_no_convergence(tmp_path, capsys):
     # ||w|| at varsigma_4(2) = 104 overflows: (1 + Q)^104 is inf at |k| = 10,
-    # and the ratio read 0.0 before
+    # and the ratio read 0.0 before; the typed failure comes without a
+    # numpy RuntimeWarning ahead of it
     cfg = _d4_k10_config()
     w = experiments._component_input(cfg, 0, cfg.components[0], 3, None)
-    with pytest.raises(NoConvergence, match=r"t=2\.0"):
-        solve_primitive(w)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config_to_json(cfg)))
     out = tmp_path / "out"
     argv = ["solve-form", "--config", str(cfg_path), "--degree", "3", "--out", str(out)]
-    assert main(argv) == 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NoConvergence, match=r"t=2\.0"):
+            solve_primitive(w)
+        assert main(argv) == 4
     assert "t=2.0" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
     # one order lower, every norm is finite and the solve reports
     eta, rep = solve_primitive(w, replace(solver.SolveOptions(), t_list=(1.0,)))
     assert 0.0 < rep.sobolev_ratios[1.0] < 1.0
+
+
+def test_overflowed_regularity_ratio_is_no_convergence(tmp_path):
+    # the denominator's order 2t + SPLIT_C = 124 overflows on a K=24 window;
+    # the sweep read its row as 0.0 before, behind only a numpy warning
+    cfg = ExperimentConfig(components=(ComponentConfig("c0", _D2.factors),), k_per_axis=24,
+                           t_list=(60.0,))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config_to_json(cfg)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NoConvergence, match=r"t=60\.0"):
+            experiments.regularity_rows(cfg, count=2)
+        assert main(["sweep-bounds", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 4

@@ -2,14 +2,16 @@
 
 import base64
 import importlib.util
+import itertools
 import json
 import os
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from paracoh import AssumptionGateError, ConfigError, SeriesParam
+from paracoh import AssumptionGateError, ConfigError, SeriesParam, forms, parallel, solver
 from paracoh.config import (
     ComponentConfig,
     ExperimentConfig,
@@ -104,7 +106,9 @@ def test_solve_top_report_and_determinism():
 
 
 def test_solve_top_parallel_matches_serial(monkeypatch):
-    # identical reports at any PARACOH_THREADS, for each parallel command
+    # identical reports at any PARACOH_THREADS, for each command; the solves
+    # here fall below parallel.MIN_TASK_ENTRIES, so the threaded runs lower
+    # the gate to put their components on worker threads
     p1, c5 = SeriesParam.principal(1.0), SeriesParam.complementary(0.5)
     d1 = SeriesParam.discrete(1)
     cfg3 = ExperimentConfig(
@@ -118,12 +122,36 @@ def test_solve_top_parallel_matches_serial(monkeypatch):
         "verify-invariants": lambda: cmd_verify_invariants(_small_config()),
         "sweep-bounds": lambda: cmd_sweep_bounds(_small_config(seed=2, k=8)),
     }
+    solver_threads, meeting = [], {}
+
+    def recorded(solve):
+        def wrapper(*args, **kwargs):
+            solver_threads.append(threading.get_ident())
+            # in a threaded run the first two tasks wait for each other, so a
+            # pool cannot finish one before it starts a second worker
+            if meeting and next(meeting["arrivals"]) < 2:
+                meeting["barrier"].wait()
+            return solve(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solver, "solve_top", recorded(solver.solve_top))
+    monkeypatch.setattr(forms, "solve_primitive", recorded(forms.solve_primitive))
+    gate = parallel.MIN_TASK_ENTRIES
     for name, run in runs.items():
         monkeypatch.setenv("PARACOH_THREADS", "1")
+        monkeypatch.setattr(parallel, "MIN_TASK_ENTRIES", gate)
+        meeting.clear()
         serial = run().to_json()
         monkeypatch.setenv("PARACOH_THREADS", "4")
+        monkeypatch.setattr(parallel, "MIN_TASK_ENTRIES", 1)
+        meeting.update(arrivals=itertools.count(), barrier=threading.Barrier(2, timeout=60))
+        solver_threads.clear()
         threaded = run().to_json()
         assert json.dumps(serial, sort_keys=True) == json.dumps(threaded, sort_keys=True), name
+        if name.startswith("solve"):  # every component on a worker, two workers at least
+            assert len(solver_threads) == len(threaded["components"]), name
+            assert threading.get_ident() not in solver_threads, name
+            assert len(set(solver_threads)) >= 2, name
 
 
 def test_solve_form_and_degree_validation():
