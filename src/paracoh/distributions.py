@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TailNotConverged
+from .errors import NoConvergence, TailNotConverged
 from .params import IndexWindow, Kind, SeriesParam, check_window
 from .repn import basis_norm_sq_array, sobolev_norm_array, weight_q_array
 
@@ -264,18 +264,21 @@ class PhiSobolevSum:
 
 
 def phi_sobolev_sum(param: SeriesParam, t: float) -> PhiSobolevSum:
+    """Raises NoConvergence naming t when the sum or its bound is not finite."""
     if t <= 0:
         raise ValueError(f"needs t > 0, got {t}")
     # the array norm takes bare factors, so nu below eps0 (the gate-bypassed
     # blowup sweep) is admitted
     win = _phi_window(param)
-    value = sum(
-        sobolev_norm_array((param,), (win,), phi(param, tag, win), t) ** 2
-        for tag in (Sign.PLUS, Sign.MINUS)
-    )
-    mu = param.mu
-    if param.kind is Kind.DISCRETE:
-        bound = (1.0 + mu + 2.0 * param.n**2) ** t
-    else:
-        bound = (1.0 + mu) ** t
+    base = 1.0 + param.mu + (2.0 * param.n**2 if param.kind is Kind.DISCRETE else 0.0)
+    try:  # a float power past the range raises, where the array norm gives inf
+        value = sum(
+            sobolev_norm_array((param,), (win,), phi(param, tag, win), t) ** 2
+            for tag in (Sign.PLUS, Sign.MINUS)
+        )
+        bound = base**t
+    except OverflowError:
+        value = bound = math.inf
+    if not (math.isfinite(value) and math.isfinite(bound)):
+        raise NoConvergence(f"phi Sobolev sum at t={t}: a weight left the floating-point range")
     return PhiSobolevSum(value, bound, value / bound)

@@ -6,16 +6,16 @@ truncation edges so the generator action cannot spill outside the window.
 The lowest-weight edge of a discrete factor is a true boundary of the index
 set, not a truncation cut, so no margin is applied there.
 
-`random_coeffs` returns a batch of coefficient arrays, batch axis first; it
-draws whole items in chunks (`tensor.item_chunks`), which continue one
-normal stream, so `random_tensor` is a batch of one, the batch holds the
-items that as many successive single draws give, and a draw holds the batch
-and one chunk of normals.
+`random_coeff_chunks` draws whole items a chunk at a time (`tensor.item_chunks`),
+continuing one normal stream: `random_coeffs` fills a batch from it, batch
+axis first, so `random_tensor` is a batch of one and a batch holds the items
+that as many single draws give.  The regularity sweep holds one chunk at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -52,6 +52,43 @@ def random_vector(
     return TensorCoeffs(MultiParam((param,)), (window,), coeffs)
 
 
+def random_coeff_chunks(
+    params: MultiParam,
+    windows: tuple[IndexWindow, ...],
+    rng: np.random.Generator,
+    count: int,
+    decay: float = 4.0,
+    margin: int = 2,
+    out: np.ndarray | None = None,
+) -> Iterator[np.ndarray]:
+    """Yield `count` random coefficient arrays on `windows` a chunk of whole
+    items at a time (`tensor.item_chunks`), batch axis first, each into its
+    slice of `out` if one is given, else into one buffer that the next chunk
+    overwrites.  Normals of shape (items, 2) + window shape give item b its
+    real part [b, 0] and imaginary part [b, 1], so every item is that of
+    `count` calls of `random_tensor`."""
+    damp = repn.weight_grids(params.factors, windows)[0] ** (-decay)
+    masks = []
+    for j, (p, w) in enumerate(zip(params.factors, windows)):
+        shape = [1] * params.d
+        shape[j] = len(w)
+        masks.append(_edge_mask(p, w, margin).reshape(shape))
+    chunks = tensor.item_chunks(count, damp.size)
+    if out is None:  # one buffer: a chunk allocated anew each time faulted in fresh pages
+        buf = np.empty((chunks[0].stop if chunks else 0,) + damp.shape, dtype=np.complex128)
+    for chunk in chunks:
+        z = rng.standard_normal((chunk.stop - chunk.start, 2) + damp.shape)
+        part = buf[: chunk.stop - chunk.start] if out is None else out[chunk]
+        np.multiply(1j, z[:, 1], out=part)
+        part += z[:, 0]
+        part /= np.sqrt(2.0)
+        part *= damp
+        for mask in masks:
+            part *= mask
+        del z
+        yield part
+
+
 def random_coeffs(
     params: MultiParam,
     windows: tuple[IndexWindow, ...],
@@ -60,29 +97,11 @@ def random_coeffs(
     decay: float = 4.0,
     margin: int = 2,
 ) -> np.ndarray:
-    """`count` random coefficient arrays on `windows`, batch axis first.
-
-    Normal draws of shape (items, 2) + window shape, one per chunk of whole
-    items, give item b its real part [b, 0] and imaginary part [b, 1]: the
-    stream, and so every item, is that of `count` calls of `random_tensor`.
-    """
-    damp = repn.weight_grids(params.factors, windows)[0] ** (-decay)
-    masks = []
-    for j, (p, w) in enumerate(zip(params.factors, windows)):
-        shape = [1] * params.d
-        shape[j] = len(w)
-        masks.append(_edge_mask(p, w, margin).reshape(shape))
-    coeffs = np.empty((count,) + damp.shape, dtype=np.complex128)
-    for chunk in tensor.item_chunks(count, damp.size):
-        z = rng.standard_normal((chunk.stop - chunk.start, 2) + damp.shape)
-        part = coeffs[chunk]
-        np.multiply(1j, z[:, 1], out=part)
-        part += z[:, 0]
-        part /= np.sqrt(2.0)
-        part *= damp
-        for mask in masks:
-            part *= mask
-        del z  # before the next chunk is drawn
+    """`count` random coefficient arrays on `windows`, batch axis first,
+    drawn chunk by chunk into one array by `random_coeff_chunks`."""
+    coeffs = np.empty((count,) + tuple(len(w) for w in windows), dtype=np.complex128)
+    for _ in random_coeff_chunks(params, windows, rng, count, decay, margin, out=coeffs):
+        pass
     return coeffs
 
 

@@ -150,8 +150,11 @@ def sobolev_norm_array(
         # a weight past the float range gives inf, and inf * 0 nan, silently:
         # the callers turn a norm that is not finite into a typed failure
         with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(mag2, w2 if s == 0.0 else qgrid**s, out=term)
-            if s != 0.0:
+            if s == 0.0:
+                np.multiply(mag2, w2, out=term)
+            else:  # (1 + Q)^s goes into term, unless term is |f|^2 itself
+                weight = qgrid**s if term is mag2 else np.power(qgrid, s, out=term)
+                np.multiply(mag2, weight, out=term)
                 term *= w2
         norms[..., i] = np.sqrt(np.sum(term, axis=axes))
     out = norms if isinstance(t, tuple) else norms[..., 0]

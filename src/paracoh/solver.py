@@ -39,11 +39,10 @@ denominator is not finite raises NoConvergence (`sobolev_ratios`).
 Memory: a top-degree solve holds f, its d outputs and one level's workspace
 at a time.  `_lstsq_rows` allocates only the zgbtrs right-hand sides and the
 solutions, and forms the residual in the former's buffer; a level drops
-f_otimes, the amplitudes and their batch once its rows exist, and makes its
-product buffer only after the sub-recursion returns; `tensor.u_sum` makes
-each U_i g_i only to add it into the hull.  The split writes F_+ phi_+ into
-f_otimes and adds F_- phi_- from one scratch of the same size, and
-`regularity_array` splits and norms a chunk of items at a time.
+f_otimes, the amplitudes and their batch once its rows exist; `tensor.u_sum`
+makes each U_i g_i only to add it into the hull.  phi_± are supported on two
+indices (one for a discrete factor), so f_otimes and every g_i are zero
+arrays whose support columns alone are formed (`_phi_outer`).
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _lapack, tensor
-from .distributions import Sign, dist_values_array, phi, valid_signs
+from .distributions import Sign, _phi_window, dist_values_array, phi, valid_signs
 from .errors import NoConvergence, NotInKernel, ParamMismatch
 from .params import IndexWindow, MultiParam, SeriesParam, expand_window
 from .repn import apply_u_axis_array, basis_norm_sq_array, sobolev_norm_array
@@ -277,19 +276,29 @@ def split(f: TensorCoeffs) -> SplitParts:
 def _split_last(
     p_last: SeriesParam, w_last: IndexWindow, arr: np.ndarray
 ) -> tuple[dict[Sign, np.ndarray], np.ndarray]:
-    """Amplitudes F_± over the last axis of arr (any leading axes) and f_otimes.
-
-    F_+ phi_+ is written into f_otimes and F_- phi_- added from one
-    arr-sized scratch, so the split holds two arrays the size of arr.
-    """
+    """Amplitudes F_± over the last axis of arr (any leading axes) and f_otimes,
+    which `_phi_outer` forms on phi's support columns only."""
     amplitudes = {
         s: np.tensordot(arr, dist_values_array(p_last, s, w_last), axes=([arr.ndim - 1], [0]))
         for s in (Sign.PLUS, Sign.MINUS)
     }
-    f_ot = np.multiply(amplitudes[Sign.PLUS][..., None], phi(p_last, Sign.PLUS, w_last))
-    f_ot += 0.0  # -0.0 becomes +0.0, as in a sum begun at 0.0: f_otimes keeps its bytes
-    f_ot += amplitudes[Sign.MINUS][..., None] * phi(p_last, Sign.MINUS, w_last)
-    return amplitudes, f_ot
+    return amplitudes, _phi_outer(p_last, w_last, arr.shape, amplitudes.items())
+
+
+def _phi_outer(
+    p_last: SeriesParam, w_last: IndexWindow, shape: tuple[int, ...], parts
+) -> np.ndarray:
+    """sum_s part_s (x) phi_s for the (sign, part) pairs, on `shape`, whose
+    last axis is on w_last: a sum begun at +0.0 and formed on phi's support
+    columns (`_phi_window`) only.  Every other column is +0.0, as the dense
+    sum gives it for finite parts, so no temporary of the whole shape exists.
+    """
+    cols = tensor.sub_slices((_phi_window(p_last),), (w_last,))[0]
+    out = np.zeros(shape, dtype=np.complex128)
+    view = out[..., cols]
+    for s, part in parts:
+        view += part[..., None] * phi(p_last, s, w_last)[cols]
+    return out
 
 
 def regularity_array(
@@ -301,28 +310,21 @@ def regularity_array(
     """Diagnostic ratios ||f_otimes||_t / ||f||_{2t+SPLIT_C}, one per item of arr.
 
     The windows index the trailing axes; leading axes are a batch.  An
-    item with ||f|| = 0 has ratio 0.  The items are split and normed a
-    chunk at a time (`tensor.item_chunks`), so f_otimes exists for one
-    chunk only.  Raises NoConvergence naming t when a norm is not finite,
-    as `sobolev_ratios` does.
+    item with ||f|| = 0 has ratio 0.  The sweep hands it one chunk of items
+    at a time.  Raises NoConvergence naming t when a norm is not finite, as
+    `sobolev_ratios` does.
     """
     if len(windows) < 2:
         raise ValueError("needs d >= 2")
     if t <= 0:
         raise ValueError(f"needs t > 0, got {t}")
-    lead = arr.shape[: arr.ndim - len(windows)]
-    items = arr.reshape((-1,) + arr.shape[len(lead) :])
-    ratios = np.zeros(len(items))
-    for chunk in tensor.item_chunks(len(items), int(np.prod(items.shape[1:]))):
-        part = items[chunk]
-        denom = sobolev_norm_array(factors, windows, part, 2.0 * t + SPLIT_C)
-        _, f_ot = _split_last(factors[-1], windows[-1], part)
-        num = sobolev_norm_array(factors, windows, f_ot, t)
-        del f_ot
-        if not (np.isfinite(num).all() and np.isfinite(denom).all()):
-            raise NoConvergence(f"regularity ratio at t={t}: a norm left the floating-point range")
-        np.divide(num, denom, out=ratios[chunk], where=denom != 0.0)
-    return ratios.reshape(lead)
+    denom = sobolev_norm_array(factors, windows, arr, 2.0 * t + SPLIT_C)
+    _, f_ot = _split_last(factors[-1], windows[-1], arr)
+    num = sobolev_norm_array(factors, windows, f_ot, t)
+    del f_ot
+    if not (np.isfinite(num).all() and np.isfinite(denom).all()):
+        raise NoConvergence(f"regularity ratio at t={t}: a norm left the floating-point range")
+    return np.divide(num, denom, out=np.zeros(np.shape(num)), where=denom != 0.0)
 
 
 def regularity_check(f: TensorCoeffs, t: float) -> float:
@@ -375,18 +377,14 @@ def _solve_top_rec(
         signs = valid_signs(p_last)
         stacked = np.concatenate([amplitudes[s] for s in signs])
         del amplitudes
-        rows = np.subtract(arr, f_ot, out=f_ot)  # in f_otimes' buffer
+        rows = np.subtract(arr, f_ot, out=f_ot)  # in f_otimes' buffer; arr off phi's support
         lead = params.keep_leading(d - 1)
         sub = _solve_top_rec(lead, windows[:-1], stacked, opts, scale)
         del stacked
-        term = np.empty(arr.shape, dtype=np.complex128)
-        for sols in sub:
-            # g_i = sum_s G_s,i (x) phi_s
-            gi = np.zeros(arr.shape, dtype=np.complex128)
-            for s, part in zip(signs, np.split(sols, len(signs))):
-                gi += np.multiply(part[..., None], phi(p_last, s, w_last), out=term)
-            out.append(gi)
-        del sub, term
+        for sols in sub:  # g_i = sum_s G_s,i (x) phi_s
+            parts = zip(signs, np.split(sols, len(signs)))
+            out.append(_phi_outer(p_last, w_last, arr.shape, parts))
+        del sub
 
     # last-factor problem: the rows of all items
     rows = rows.reshape(-1, len(w_last))

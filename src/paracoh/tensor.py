@@ -18,9 +18,8 @@ The product functionals and the kernel projector work on arrays whose
 leading axes are a batch (`product_dist_array`, `kernel_project_array`);
 the `TensorCoeffs` functions are a batch of one.  The projector subtracts
 c Phi item by item through one item-sized scratch, and `item_chunks` cuts a
-batch into the whole-item chunks that `generate.random_coeffs` and
-`solver.regularity_array` work through, so a check sweep holds its batch
-and a fixed scratch.
+batch into the whole-item chunks that `generate.random_coeff_chunks` draws,
+so the regularity sweep holds one chunk and a fixed scratch.
 """
 
 from __future__ import annotations
@@ -164,8 +163,8 @@ def u_sum(
     return out, windows
 
 
-# entries a batched kernel works through at once (512 KiB of complex
-# coefficients): whole items, at least one
+# entries of one chunk of a random draw (512 KiB of complex coefficients):
+# whole items, at least one
 CHUNK_ENTRIES = 1 << 15
 
 

@@ -1,12 +1,13 @@
 """The check sweeps in bounded memory, against the whole-batch kernels they replaced.
 
-`regularity_rows` holds one batch plus a fixed scratch: `generate.random_coeffs`
-draws whole items in chunks, `tensor.kernel_project_array` subtracts c Phi
-item by item, `solver._split_last` writes its first term into f_otimes, and
-`solver.regularity_array` splits and norms a chunk of items at a time.  The
-references below are those kernels as they were before, kept here as the
-oracle; every array must be equal byte for byte, signed zeros included.
-The Sobolev ratios of the solvers are either finite or a typed failure.
+`regularity_rows` holds one chunk of items plus a fixed scratch:
+`generate.random_coeff_chunks` draws whole items a chunk at a time,
+`tensor.kernel_project_array` subtracts c Phi item by item, and
+`solver.regularity_array` splits and norms the chunk, with f_otimes formed
+on phi's support columns.  The references below are those kernels as they
+were before, kept here as the oracle; every array must be equal byte for
+byte, signed zeros included.  The Sobolev ratios of the solvers and the
+phi sums of `sweep-bounds` are either finite or a typed failure.
 """
 
 import json
@@ -20,7 +21,7 @@ import pytest
 from paracoh import experiments, generate, repn, solver, tensor
 from paracoh.cli import main
 from paracoh.config import ComponentConfig, ExperimentConfig, config_to_json, default_config
-from paracoh.distributions import Sign, dist_values_array, phi
+from paracoh.distributions import Sign, _phi_window, dist_values_array, phi
 from paracoh.errors import NoConvergence
 from paracoh.forms import solve_primitive
 from paracoh.generate import random_kernel_tensor
@@ -77,6 +78,10 @@ def _bits(x):
 
 _D2 = MultiParam((SeriesParam.principal(1.5), SeriesParam.complementary(0.9)))
 _D2_WINDOWS = tuple(default_window(p, 24) for p in _D2.factors)  # 2401 entries an item
+
+_D4 = (SeriesParam.principal(1.0), SeriesParam.complementary(0.9), SeriesParam.discrete(1),
+       SeriesParam.principal(3.0))
+
 
 # --- kernels, byte for byte ----------------------------------------------------------
 
@@ -193,12 +198,12 @@ def test_chunked_regularity_array():
 # --- memory ----------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("d, budget_mb", [(2, 3.6), (3, 7.0)])
-def test_regularity_rows_hold_one_batch_and_a_scratch(d, budget_mb):
+@pytest.mark.parametrize("d, budget_mb", [(2, 2.0), (3, 5.0)])
+def test_regularity_rows_hold_one_chunk_and_a_scratch(d, budget_mb):
     # tracemalloc peak of a warm sweep at the default config, K=24 on every
-    # axis: the d=2 batch of 50 samples is 1.83 MB and a d=3 batch of four
-    # 3.66 MB.  Drawing the next batch while the last is alive, and a
-    # batch-sized draw, projection and split, peak at 6.46 and 12.52 MB
+    # axis: a d=2 chunk holds 13 samples (0.48 MB) and a d=3 chunk one
+    # (0.92 MB).  Holding a batch of 50 d=2 samples, or of four d=3 ones,
+    # next to the chunk kernels peaked at 3.09 and 6.69 MB
     cfg = default_config(d=d, seed=0, k_per_axis=32)
     experiments.regularity_rows(cfg, count=1)  # the cached functionals
     tracemalloc.start()
@@ -208,6 +213,25 @@ def test_regularity_rows_hold_one_batch_and_a_scratch(d, budget_mb):
     finally:
         tracemalloc.stop()
     assert peak <= budget_mb * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB"
+
+
+def test_norm_at_two_orders_writes_the_weight_into_its_scratch():
+    # |f|^2, the order's terms, (1 + Q) and the basis-norm grid: four grids
+    # and numpy's reduction buffer (4.44 grids); a separate (1 + Q)^s made
+    # it five
+    mp = MultiParam(_D4)
+    wins = tuple(default_window(p, 8) for p in mp.factors)
+    f = random_kernel_tensor(mp, wins, np.random.default_rng(15)).coeffs
+    grid = f.size * np.dtype(np.float64).itemsize
+    want = [repn.sobolev_norm_array(mp.factors, wins, f, t) for t in (1.0, 2.0)]
+    tracemalloc.start()
+    try:
+        got = repn.sobolev_norm_array(mp.factors, wins, f, (1.0, 2.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _bits(got) == _bits(np.array(want))
+    assert peak < 4.75 * grid, f"tracemalloc peak {peak / grid:.2f} grids"
 
 
 # --- the solvers' ratios and the values solve_top hands to its verification ------------
@@ -236,10 +260,6 @@ def test_non_finite_norms_raise_naming_the_order():
     with pytest.raises(NoConvergence, match=r"t=1\.0"):
         solver.sobolev_ratios((1.0,), [float("inf")], [3.0])
     assert solver.sobolev_ratios((1.0, 2.0), [1.0, 0.0], [4.0, 0.0]) == {1.0: 0.25, 2.0: 0.0}
-
-
-_D4 = (SeriesParam.principal(1.0), SeriesParam.complementary(0.9), SeriesParam.discrete(1),
-       SeriesParam.principal(3.0))
 
 
 def _d4_k10_config():
@@ -280,3 +300,24 @@ def test_overflowed_regularity_ratio_is_no_convergence(tmp_path):
         with pytest.raises(NoConvergence, match=r"t=60\.0"):
             experiments.regularity_rows(cfg, count=2)
         assert main(["sweep-bounds", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 4
+
+
+def test_overflowed_phi_sum_is_no_convergence(tmp_path, capsys):
+    # (1 + mu)^t of a float raised an untyped OverflowError from t = 210 on,
+    # and `sweep-bounds` at t = 400 ended in its traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NoConvergence, match=r"t=210\.0"):
+            experiments.phi_sum_rows((210.0,))
+        assert main(["sweep-bounds", "--t", "400", "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert "t=400.0" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    # below the float range the rows keep the float arithmetic they had
+    for t in (1.0, 2.0, 150.0, 200.0):
+        for p, row in zip(experiments.verify_grid(), experiments.phi_sum_rows((t,))):
+            win = _phi_window(p)
+            value = sum(repn.sobolev_norm_array((p,), (win,), phi(p, s, win), t) ** 2
+                        for s in (Sign.PLUS, Sign.MINUS))
+            base = 1.0 + p.mu + 2.0 * p.n**2 if p.n is not None else 1.0 + p.mu
+            assert (row["value"], row["bound"], row["ratio"]) == (value, base**t, value / base**t)

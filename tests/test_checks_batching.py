@@ -170,13 +170,14 @@ def test_regularity_rows_match_per_sample_reference(seed):
 
 
 def test_regularity_rows_d3_in_several_batches(monkeypatch):
-    # the 50 draws are one batch at this size; a budget of three samples
-    # splits them into 16 batches of 3 and one of 2, as a large K would
+    # the 50 draws are two chunks at this size, of 27 and 23 samples; a
+    # chunk of three samples splits them into 16 of 3 and one of 2
     cfg = replace(default_config(d=3, seed=4, k_per_axis=6), t_list=(0.5, 1.5))
     want = json.dumps(_ref_regularity_rows(cfg))
     assert json.dumps(experiments.regularity_rows(cfg)) == want
     size = int(np.prod([len(default_window(p, 6)) for p in cfg.components[0].factors]))
-    monkeypatch.setattr(experiments, "REGULARITY_BATCH_ENTRIES", 3 * size)
+    monkeypatch.setattr(tensor, "CHUNK_ENTRIES", 3 * size)
+    assert len(tensor.item_chunks(50, size)) == 17
     assert json.dumps(experiments.regularity_rows(cfg)) == want
 
 

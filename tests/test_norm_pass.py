@@ -22,7 +22,7 @@ SERIES = (
     SeriesParam.complementary(0.5),
     SeriesParam.discrete(2),
 )
-ORDERS = (1.0, 0.0, 2.5, 0.5, 0.0)
+ORDERS = (1.0, 0.0, 2.5, 0.5, 0.0, 2.0)
 
 
 def _bitwise(a, b):

@@ -9,7 +9,7 @@ complementary(0.9) x discrete(1) x principal(3) with s = 1, 1.5, 2, 2.5
                        d=3 at K=32, the d=4 slice at K=8
     verify-invariants  d=2
     sweep-bounds       d=2, and d=3, whose regularity table draws its 50
-                       samples in batches of four
+                       samples one at a time
     solve-form         --degree 1 at d=2 (K=32) and d=3 (K=16),
                        --degree 2 at d=3 (K=32), --degree 2 and --degree 3
                        on the d=4 slice at K=8
@@ -19,10 +19,11 @@ complementary(0.9) x discrete(1) x principal(3) with s = 1, 1.5, 2, 2.5
 Reports go to a temporary directory that is removed afterwards, or to DIR
 with `--keep DIR`, which keeps them; file names are printed relative to it.
 Two checkouts whose outputs are identical write byte-identical reports for
-this set:
+this set.  `--check FILE` compares the digest with one saved in FILE and
+exits 1, listing each line that differs, when they are not the same:
 
-    python3 tools/report_digest.py > after.txt
-    diff before.txt after.txt
+    python3 tools/report_digest.py > before.txt  # in the other checkout
+    python3 tools/report_digest.py --check before.txt
 
 When the hashes differ, keep both sets and list the fields that moved with
 `tools/report_diff.py`:
@@ -102,7 +103,12 @@ SEEDS = (0, 1, 2)
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--keep", metavar="DIR", help="write the reports to DIR and keep them")
+    parser.add_argument("--check", metavar="FILE",
+                        help="compare with the digest saved in FILE; exit 1 if they differ")
     args = parser.parse_args(argv)
+    if args.check:
+        with open(args.check) as fh:
+            saved = fh.read().splitlines()
     if args.keep:
         if os.path.isdir(args.keep) and os.listdir(args.keep):
             parser.error(f"--keep {args.keep}: directory is not empty")
@@ -117,10 +123,21 @@ def main(argv: list[str] | None = None) -> int:
         paths = []
         for dirpath, _, files in os.walk(root):
             paths += [os.path.join(dirpath, f) for f in files if f.endswith((".json", ".csv"))]
+        lines = []
         for path in sorted(paths):
             with open(path, "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
-            print(f"{digest}  {os.path.relpath(path, root)}")
+            lines.append(f"{digest}  {os.path.relpath(path, root)}")
+    if not args.check:
+        print("\n".join(lines))
+        return 0
+    # lines only in the saved digest, then lines only in this one
+    differ = [f"- {line}" for line in saved if line not in lines]
+    differ += [f"+ {line}" for line in lines if line not in saved]
+    if differ:
+        print(f"{len(differ)} lines differ from {args.check}:\n" + "\n".join(differ))
+        return 1
+    print(f"all {len(lines)} lines match {args.check}")
     return 0
 
 
